@@ -14,7 +14,7 @@ arguments exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,6 +40,9 @@ class ProductState:
     ``n`` is the final truncation index, ``p_n`` the partial product at the
     reduced base argument, ``lower``/``upper`` the sandwich bounds, ``value``
     the geometric mean of the bounds, ``rel_gap`` = |g(x+n)/g(n) - 1|.
+    ``n`` = 0 marks an exact anchor: an integer x, whose value the
+    normalization f(1) = 1 and the functional equation give without a
+    product, so the bounds equal the value.
     """
 
     n: int
@@ -69,39 +72,50 @@ def reduce_to_base(x: float) -> tuple[float, int]:
     return x0, int(m)
 
 
-def _g_values_with_convention(g: Representer, ks: np.ndarray) -> np.ndarray:
-    """Representer values with g(0) := 1 applied at the exact argument 0."""
-    ks = np.asarray(ks, dtype=float)
-    out = np.empty_like(ks)
-    zero = ks == 0.0
-    if np.any(~zero):
-        out[~zero] = g.values(ks[~zero])
-    out[zero] = 1.0
-    return out
+def _log_terms(g: Representer, x: float, lo: int, hi: int) -> float:
+    """sum_{lo <= k < hi} log g(k) - log g(x+k), with g(0) := 1 at the exact argument 0.
+
+    The convention covers the k=0 numerator always, and the k=0 denominator
+    when x = 0. Raises PoleError at the first vanishing denominator, else
+    NonPositiveError at the first k with a non-positive factor.
+    """
+    ks = np.arange(lo, hi, dtype=float)
+    if lo == 0:
+        num = np.concatenate(([1.0], g.values(ks[1:])))
+        den = np.concatenate(([1.0], g.values(x + ks[1:]))) if x == 0.0 else g.values(x + ks)
+    else:
+        num, den = g.values(ks), g.values(x + ks)
+    tiny = np.abs(den) < POLE_TOL
+    if np.any(tiny):
+        k = lo + int(np.argmax(tiny))
+        raise PoleError(f"g(x+k) vanishes at k={k} (x+k={x + k!r})", point=x + k, k=k)
+    if not (np.all(num > 0.0) and np.all(den > 0.0)):
+        k = lo + int(np.argmax((num <= 0.0) | (den <= 0.0)))
+        raise NonPositiveError(f"representer must stay positive on (0, inf); "
+                               f"g(k) or g(x+k) <= 0 at k={k} (x={x!r})")
+    return float(np.sum(np.log(num) - np.log(den)))
+
+
+def _shift_product(g: Representer, x: float, count: int) -> float:
+    """prod_{k<count} g(x+k) left to right (empty product 1). A vanishing factor, which
+    a representer positive on (0, inf) has only below x = 0, raises PoleError."""
+    if count <= 0:
+        return 1.0
+    vals = g.values(x + np.arange(count, dtype=float))
+    tiny = np.abs(vals) < POLE_TOL
+    if np.any(tiny):
+        k = int(np.argmax(tiny))
+        raise PoleError(f"g({x + k!r}) vanishes in the negative-extension chain",
+                        point=x + k, k=k)
+    return math.prod(vals.tolist())
 
 
 def partial_product(g: Representer, x: float, n: int) -> float:
-    """p_n(x) = prod_{k=0}^{n-1} g(k)/g(x+k) with the g(0) := 1 convention.
-
-    The convention covers the exact argument 0: the k=0 numerator always,
-    and the k=0 denominator when x = 0. Any other vanishing denominator is
-    a pole.
-    """
+    """p_n(x) = prod_{k=0}^{n-1} g(k)/g(x+k), with the checks and the g(0) := 1
+    convention of the product's log terms."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    ks = np.arange(n, dtype=float)
-    num = _g_values_with_convention(g, ks)
-    den = np.empty(n)
-    den[0] = 1.0 if x == 0.0 else g(x)
-    if n > 1:
-        den[1:] = g.values(x + ks[1:])
-    tiny = np.abs(den) < POLE_TOL
-    if np.any(tiny):
-        k = int(np.flatnonzero(tiny)[0])
-        raise PoleError(f"g(x+k) vanishes at k={k} (x+k={x + k!r})", point=x + k, k=k)
-    if np.all(num > 0.0) and np.all(den > 0.0):
-        return float(np.exp(np.sum(np.log(num) - np.log(den))))
-    return float(np.prod(num / den))
+    return float(np.exp(_log_terms(g, x, 0, n)))
 
 
 def sandwich_bounds(g: Representer, x: float, n: int) -> tuple[float, float]:
@@ -137,135 +151,69 @@ def evaluate(g: Representer, x: float, tol: float = DEFAULT_TOL,
     if max_n < 4:
         raise ValueError("max_n must be >= 4")
     x0, m = reduce_to_base(x)
-    scale = _forward_factor(g, x0, m)
+    scale = _shift_product(g, x0, m)
 
-    n = 4
-    have = 0  # sum of log terms accumulated for k < have
-    acc = 0.0
+    n, have = 4, 0  # log_pn sums the log terms for k < have
+    log_pn = 0.0
     prev_gap = math.inf
     stalled = 0
     while True:
-        if have < n:
-            ks = np.arange(have, n, dtype=float)
-            num = _g_values_with_convention(g, ks)
-            den = g.values(x0 + ks)
-            tiny = np.abs(den) < POLE_TOL
-            if np.any(tiny):
-                k = have + int(np.flatnonzero(tiny)[0])
-                raise PoleError(f"g(x+k) vanishes at k={k}", point=x0 + k, k=k)
-            if not (np.all(num > 0.0) and np.all(den > 0.0)):
-                bad = float(x0 + have + np.flatnonzero(den <= 0.0)[0]) if np.any(den <= 0.0) \
-                    else float(have + np.flatnonzero(num <= 0.0)[0])
-                raise NonPositiveError(f"representer must stay positive on (0, inf); "
-                                       f"g <= 0 near {bad!r}")
-            acc += float(np.sum(np.log(num) - np.log(den)))
-            have = n
+        log_pn += _log_terms(g, x0, have, n)
+        have = n
         g_n = g(float(n))
         g_xn = g(x0 + float(n))
-        if abs(g_xn) < POLE_TOL:
-            raise PoleError(f"g(x+k) vanishes at k={n}", point=x0 + n, k=n)
-        if g_n <= 0.0 or g_xn <= 0.0:
-            raise NonPositiveError(f"representer must stay positive on (0, inf); "
-                                   f"g <= 0 near n={n}")
-        log_pn = acc
-        log_pn1 = acc + (math.log(g_n) - math.log(g_xn))
+        if not (g_n > 0.0 and g_xn >= POLE_TOL):
+            _log_terms(g, x0, n, n + 1)  # raises the k = n term's PoleError or NonPositiveError
+        log_pn1 = log_pn + (math.log(g_n) - math.log(g_xn))
         log_gx = x0 * math.log(g_n)
         lower = math.exp(log_pn1 + log_gx)
         upper = math.exp(log_pn + log_gx)
         value = math.exp(0.5 * (log_pn + log_pn1) + log_gx)
         rel_gap = abs(g_xn / g_n - 1.0)
-
-        if rel_gap <= tol and (upper - lower) <= tol * abs(value):
-            converged = True
+        converged = rel_gap <= tol and (upper - lower) <= tol * abs(value)
+        if converged:
             break
-        if rel_gap >= prev_gap * (1.0 - 1e-12):
-            stalled += 1
-            if stalled >= 3:
-                raise DivergenceError(
-                    f"|g(x+n)/g(n) - 1| = {rel_gap:.3e} failed to decrease over three "
-                    f"doublings (n={n}); the representer violates lim g(n)/g(x+n) = 1")
-        else:
-            stalled = 0
+        stalled = stalled + 1 if rel_gap >= prev_gap * (1.0 - 1e-12) else 0
+        if stalled >= 3:
+            raise DivergenceError(
+                f"|g(x+n)/g(n) - 1| = {rel_gap:.3e} failed to decrease over three "
+                f"doublings (n={n}); the representer violates lim g(n)/g(x+n) = 1")
         prev_gap = rel_gap
         if n >= max_n:
-            converged = False
             break
         n = min(2 * n, max_n)
 
-    return ProductState(
-        n=n,
-        p_n=math.exp(log_pn),
-        lower=lower * scale,
-        upper=upper * scale,
-        value=value * scale,
-        rel_gap=rel_gap,
-        converged=converged,
-    )
-
-
-def _forward_factor(g: Representer, x0: float, m: int) -> float:
-    """prod_{k=0}^{m-1} g(x0 + k) for m >= 0 (empty product is 1)."""
-    if m <= 0:
-        return 1.0
-    vals = g.values(x0 + np.arange(m, dtype=float))
-    total = 1.0
-    for v in vals:
-        total *= float(v)
-    return total
-
-
-def _backward_denominator(g: Representer, x: float, count: int) -> float:
-    """prod_{k=0}^{count-1} g(x + k), raising PoleError on vanishing factors."""
-    total = 1.0
-    for k in range(count):
-        v = g(x + k)
-        if abs(v) < POLE_TOL:
-            raise PoleError(f"g({x + k!r}) vanishes in the negative-extension chain",
-                            point=x + k, k=k)
-        total *= v
-    return total
-
-
-def extend(g: Representer, x: float, tol: float = DEFAULT_TOL,
-           max_n: int = DEFAULT_MAX_N) -> float:
-    """The interpolant at any real x via reduction to the base interval.
-
-    Writes x = x0 + m with x0 in (0, 1]. The base value is the product
-    evaluation, except at x0 = 1 where the normalization f(1) = 1 is exact.
-    For m >= 0 the functional equation multiplies forward; for m < 0 the
-    solved form f(x) = f(x + |m|) / prod g(x + k) extends to negative reals,
-    raising PoleError when a denominator factor vanishes.
-    """
-    x0, m = reduce_to_base(x)
-    if m < 0:
-        base = 1.0 if x0 == 1.0 else evaluate(g, x0, tol, max_n).value
-        return base / _backward_denominator(g, x, -m)
-    if x0 == 1.0:
-        return _forward_factor(g, x0, m)
-    return evaluate(g, x, tol, max_n).value
+    return ProductState(n=n, p_n=math.exp(log_pn), lower=lower * scale, upper=upper * scale,
+                        value=value * scale, rel_gap=rel_gap, converged=converged)
 
 
 def extended_state(g: Representer, x: float, tol: float = DEFAULT_TOL,
                    max_n: int = DEFAULT_MAX_N) -> ProductState:
-    """ProductState for any real x, anchored like ``extend``.
+    """The interpolant and its truncation diagnostics at any real x.
 
-    Runs the base-interval product for diagnostics, then scales value and
-    bounds through the functional equation (bounds swap when the scale factor
-    is negative, as happens for Gamma on (-1, 0)).
+    Writes x = x0 + m with x0 in (0, 1]. The base state is the product
+    evaluation, except at x0 = 1, where the normalization f(1) = 1 is exact
+    and no product runs. For m >= 0 the functional equation multiplies
+    forward; for m < 0 the solved form f(x) = f(x + |m|) / prod g(x + k)
+    extends to negative reals, raising PoleError when a factor vanishes.
+    Bounds swap when the scale is negative, as for Gamma on (-1, 0).
     """
     x0, m = reduce_to_base(x)
-    state = evaluate(g, x0, tol, max_n)
-    base = 1.0 if x0 == 1.0 else state.value
+    state = evaluate(g, x0, tol, max_n) if x0 != 1.0 else ProductState(
+        n=0, p_n=1.0, lower=1.0, upper=1.0, value=1.0, rel_gap=0.0, converged=True)
     if m >= 0:
-        factor = _forward_factor(g, x0, m)
-        value = base * factor
-        bounds = sorted((state.lower * factor, state.upper * factor))
+        factor = _shift_product(g, x0, m)
+        value, a, b = state.value * factor, state.lower * factor, state.upper * factor
     else:
-        den = _backward_denominator(g, x, -m)
-        value = base / den
-        bounds = sorted((state.lower / den, state.upper / den))
-    return ProductState(n=state.n, p_n=state.p_n, lower=bounds[0], upper=bounds[1],
-                        value=value, rel_gap=state.rel_gap, converged=state.converged)
+        den = _shift_product(g, x, -m)
+        value, a, b = state.value / den, state.lower / den, state.upper / den
+    return replace(state, value=value, lower=min(a, b), upper=max(a, b))
+
+
+def extend(g: Representer, x: float, tol: float = DEFAULT_TOL,
+           max_n: int = DEFAULT_MAX_N) -> float:
+    """The interpolant at any real x: the value of ``extended_state``."""
+    return extended_state(g, x, tol, max_n).value
 
 
 def interpolation_targets(g: Representer, n_max: int) -> list[InterpolationTarget]:

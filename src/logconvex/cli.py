@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import bohrmollerup as bm
 from .acceptance import run_checks
-from .errors import DivergenceError, LogconvexError, ParseError, UnboundParameter
+from .errors import DivergenceError, LogconvexError
 from .representer import from_spec
 from .special import fib_real_fn
 
@@ -103,11 +103,14 @@ def _fmt(v: float) -> str:
 def cmd_eval(cfg: RunConfig) -> int:
     try:
         g = from_spec(cfg.representer_spec)
-    except (ParseError, UnboundParameter, ValueError) as exc:
+    except (LogconvexError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         state = bm.extended_state(g, cfg.x, tol=cfg.tol, max_n=cfg.max_n)
+    except ValueError as exc:  # --max-n out of range
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -194,7 +197,7 @@ def cmd_report(cfg: RunConfig) -> int:
         return EXIT_CONFIG
     try:
         rows = _report_rows_function(cfg) if cfg.function else _report_rows_representer(cfg)
-    except (ParseError, UnboundParameter, ValueError) as exc:
+    except (LogconvexError, ValueError) as exc:  # rows catch their own evaluation errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     columns = ("x", "f", "log_f", "d2_log", "q_det")

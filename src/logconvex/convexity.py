@@ -106,17 +106,7 @@ def count_sign_changes(values: Grid) -> np.ndarray:
     Zero samples attach to the preceding sign, so tangential zeros are not
     double counted and leading zeros never produce a change.
     """
-    xs, ys = values.xs, values.ys
-    locations = []
-    prev_sign = 0
-    for i in range(len(ys)):
-        s = 0 if ys[i] == 0.0 else (1 if ys[i] > 0.0 else -1)
-        if s == 0:
-            continue
-        if prev_sign != 0 and s != prev_sign:
-            locations.append(0.5 * (xs[i - 1] + xs[i]))
-        prev_sign = s
-    return np.asarray(locations, dtype=float)
+    return np.asarray(_change_locations(values.xs, values.ys), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -174,6 +164,7 @@ def build_report(xs, q_vals, d2_vals) -> ConvexityReport:
 
 
 def _change_locations(xs, vals) -> list[float]:
+    """``count_sign_changes`` over paired sequences; None and non-finite samples count as zeros."""
     locations = []
     prev_sign = 0
     prev_x = None

@@ -71,7 +71,8 @@ class RealFunction:
             out = np.asarray(self.fn(xs), dtype=float)
             if out.shape != xs.shape:
                 out = np.broadcast_to(out, xs.shape).astype(float)
-        except Exception:
+        except (TypeError, ValueError):
+            # what a scalar-only fn raises for an array: evaluate point by point
             out = np.array([float(self.fn(float(t))) for t in xs])
         if not np.all(np.isfinite(out)):
             i = int(np.flatnonzero(~np.isfinite(out))[0])

@@ -13,7 +13,7 @@ import numpy as np
 from . import expr as ex
 from .errors import NonPositiveError, PoleError, ZeroDerivative
 from .funcore import RealFunction, default_step
-from .special import _fib_real_vec, fib_real, fib_real_d1, fib_real_d2
+from .special import fib_real, fib_real_d1, fib_real_d2
 
 _INF = math.inf
 
@@ -129,33 +129,27 @@ def builtin(name: str, c: float | None = None, v: float | None = None) -> Repres
     raise ValueError(f"unknown builtin representer {name!r}")
 
 
-def _fib_guarded(x: float) -> float:
-    den = fib_real(x)
-    if abs(den) < FIB_POLE_TOL:
-        raise PoleError(f"fibonacci representer pole: fib_real({x!r}) ~ 0", point=x)
-    return den
-
-
 def _fibonacci_representer() -> Representer:
     # g = u/v with u(x) = fib_real(x+1), v(x) = fib_real(x); quotient-rule
-    # derivatives from the exact Binet derivatives.
-    def g(x):
-        if isinstance(x, np.ndarray):
-            den = _fib_real_vec(x)
-            bad = np.abs(den) < FIB_POLE_TOL
-            if np.any(bad):
-                pt = float(np.asarray(x)[bad][0])
-                raise PoleError(f"fibonacci representer pole: fib_real({pt!r}) ~ 0", point=pt)
-            return _fib_real_vec(x + 1.0) / den
-        return fib_real(x + 1.0) / _fib_guarded(x)
+    # derivatives from the exact Binet derivatives. Each accepts floats and arrays.
+    def v_checked(x):
+        v = fib_real(x)
+        bad = np.abs(v) < FIB_POLE_TOL
+        if np.any(bad):
+            pt = float(np.asarray(x)[bad][0])
+            raise PoleError(f"fibonacci representer pole: fib_real({pt!r}) ~ 0", point=pt)
+        return v
 
-    def g1(x: float) -> float:
-        v = _fib_guarded(x)
+    def g(x):
+        return fib_real(x + 1.0) / v_checked(x)
+
+    def g1(x):
+        v = v_checked(x)
         u, du, dv = fib_real(x + 1.0), fib_real_d1(x + 1.0), fib_real_d1(x)
         return (du * v - u * dv) / (v * v)
 
-    def g2(x: float) -> float:
-        v = _fib_guarded(x)
+    def g2(x):
+        v = v_checked(x)
         u = fib_real(x + 1.0)
         du, dv = fib_real_d1(x + 1.0), fib_real_d1(x)
         ddu, ddv = fib_real_d2(x + 1.0), fib_real_d2(x)

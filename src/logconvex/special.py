@@ -215,45 +215,29 @@ def fib_closed(n: int) -> float:
     return raw
 
 
-def fib_real(x: float) -> float:
-    """Real part of the Binet extension: (phi^x - cos(pi x) phi^-x) / sqrt(5)."""
-    p = GOLDEN_RATIO ** x
-    return (p - math.cos(math.pi * x) / p) / SQRT5
+def fib_real(x):
+    """Real part of the Binet extension: (phi^x - cos(pi x) phi^-x) / sqrt(5).
 
-
-def fib_real_d1(x: float) -> float:
-    p = GOLDEN_RATIO ** x
-    q = 1.0 / p
-    return (_LN_PHI * p + (math.pi * math.sin(math.pi * x) + _LN_PHI * math.cos(math.pi * x)) * q) / SQRT5
-
-
-def fib_real_d2(x: float) -> float:
-    p = GOLDEN_RATIO ** x
-    q = 1.0 / p
-    osc = (_LN_PHI * _LN_PHI - math.pi * math.pi) * math.cos(math.pi * x) \
-        + 2.0 * math.pi * _LN_PHI * math.sin(math.pi * x)
-    return (_LN_PHI * _LN_PHI * p - q * osc) / SQRT5
-
-
-def fib_real_fn() -> RealFunction:
-    """fib_real as a RealFunction with exact first and second derivatives."""
-    return RealFunction(fn=_fib_real_vec, d1=_fib_d1_vec, d2=_fib_d2_vec, name="fib")
-
-
-def _fib_real_vec(x):
+    ``x`` may be a float or an array, as for the two derivatives below.
+    """
     p = np.power(GOLDEN_RATIO, x)
     return (p - np.cos(np.pi * x) / p) / SQRT5
 
 
-def _fib_d1_vec(x):
+def fib_real_d1(x):
     p = np.power(GOLDEN_RATIO, x)
     return (_LN_PHI * p + (np.pi * np.sin(np.pi * x) + _LN_PHI * np.cos(np.pi * x)) / p) / SQRT5
 
 
-def _fib_d2_vec(x):
+def fib_real_d2(x):
     p = np.power(GOLDEN_RATIO, x)
     osc = (_LN_PHI ** 2 - np.pi ** 2) * np.cos(np.pi * x) + 2.0 * np.pi * _LN_PHI * np.sin(np.pi * x)
     return (_LN_PHI ** 2 * p - osc / p) / SQRT5
+
+
+def fib_real_fn() -> RealFunction:
+    """fib_real as a RealFunction with exact first and second derivatives."""
+    return RealFunction(fn=fib_real, d1=fib_real_d1, d2=fib_real_d2, name="fib")
 
 
 def fib_sinh_cosh(n: int) -> float:
@@ -270,7 +254,7 @@ def fib_d2_signchanges(a: float, b: float, grid_n: int) -> np.ndarray:
     if grid_n < 100:
         raise ValueError("grid_n must be >= 100")
     xs = np.linspace(a, b, grid_n)
-    ys = _fib_d2_vec(xs)
+    ys = fib_real_d2(xs)
     return count_sign_changes(Grid(a=a, b=b, n=grid_n, xs=xs, ys=ys))
 
 

@@ -8,6 +8,8 @@ import pytest
 from logconvex import (
     DivergenceError,
     DomainError,
+    LogconvexError,
+    NonPositiveError,
     PoleError,
     RealFunction,
     SeriesDivergence,
@@ -72,6 +74,11 @@ class TestPartialProduct:
         with pytest.raises(PoleError) as err:
             partial_product(IDENTITY, -1.0, 3)
         assert err.value.k == 1  # x + k = 0 at k = 1
+
+    def test_non_positive_factor_raises(self):
+        # g(x) = x is negative at x = -0.5: outside the representer contract
+        with pytest.raises(NonPositiveError):
+            partial_product(IDENTITY, -0.5, 3)
 
     def test_recurrence_consistency(self):
         """p_n(x) = p_{n+1}(x) * g(x+n)/g(n) to ulp scale."""
@@ -198,6 +205,32 @@ class TestExtend:
             for t in targets:
                 assert extend(g, float(t.n), tol=1e-6) == pytest.approx(t.a_n, rel=1e-5)
 
+    def test_extend_is_the_value_of_extended_state(self):
+        reps = (IDENTITY, parse_representer("x*(x+1)"), builtin("power", c=1.5))
+        for g in reps:
+            for x in (-2.5, -0.5, 0.5, 1.0, 3.0, 3.7, 12.0):
+                try:
+                    state = extended_state(g, x, tol=1e-6)
+                except LogconvexError as exc:  # x^1.5 has no real values below 0
+                    with pytest.raises(type(exc)):
+                        extend(g, x, tol=1e-6)
+                    continue
+                assert extend(g, x, tol=1e-6) == state.value
+
+    def test_integer_anchors_are_exact(self):
+        reps = (IDENTITY, parse_representer("x*(x+1)"), builtin("power", c=1.5),
+                builtin("fibonacci"), builtin("constant", v=3.0))
+        for g in reps:
+            targets = {t.n: t.a_n for t in interpolation_targets(g, 12)}
+            for n in (1, 2, 3, 12):
+                state = extended_state(g, float(n))
+                assert state.n == 0 and state.converged and state.rel_gap == 0.0
+                assert state.lower == state.upper == state.value
+                assert state.value == pytest.approx(targets[n], rel=1e-13)
+        # below 1 the anchor runs the functional equation backwards: 3^-2 at x = -1
+        state = extended_state(builtin("constant", v=3.0), -1.0)
+        assert state.n == 0 and state.value == state.lower == state.upper == pytest.approx(1.0 / 9.0)
+
     def test_extended_state_brackets_negative_values(self):
         state = extended_state(IDENTITY, -0.5, tol=1e-6)
         assert state.lower <= state.value <= state.upper
@@ -259,6 +292,14 @@ class TestLogconvexitySeries:
             series = logconvexity_series(IDENTITY, x, tol=1e-6)
             fd = d2_log(f, x, h=0.01)
             assert series == pytest.approx(fd, abs=1e-3)
+
+    def test_fibonacci_matches_fd_of_constructed_interpolant(self):
+        """The Fibonacci representer's exact d1/d2 work on arrays, so the series runs."""
+        g = builtin("fibonacci")
+        f = RealFunction(fn=lambda t: extend(g, float(t), tol=1e-9, max_n=2 ** 22))
+        for x in (1.5, 2.5):
+            series = logconvexity_series(g, x, tol=1e-6)
+            assert series == pytest.approx(d2_log(f, x, h=0.02), abs=1e-3)
 
     def test_constructed_interpolant_is_log_convex(self):
         f = RealFunction(fn=lambda t: extend(IDENTITY, float(t), tol=1e-5))

@@ -26,6 +26,9 @@ class TestEval:
         assert set(data) == {"x", "value", "n_used", "lower", "upper", "rel_gap", "converged"}
         assert abs(data["value"] - 24.0) <= 1e-6
         assert data["lower"] <= data["value"] <= data["upper"]
+        # an integer anchor is exact: no product runs
+        assert data["lower"] == data["upper"] == 24.0
+        assert data["n_used"] == 0 and data["rel_gap"] == 0.0 and data["converged"] is True
 
     def test_divergent_representer_exits_3(self, capsys):
         code, out, err = run_cli(capsys, "eval", "--representer", "exp(x)", "--x", "0.5")
@@ -37,6 +40,19 @@ class TestEval:
         code, out, err = run_cli(capsys, "eval", "--representer", "x^(", "--x", "1")
         assert code == 2
         assert "offset" in err
+
+    @pytest.mark.parametrize("spec", ["x-1", "log(x)"])
+    def test_non_positive_representer_exits_2(self, capsys, spec):
+        code, out, err = run_cli(capsys, "eval", "--representer", spec, "--x", "0.5")
+        assert code == 2
+        assert out == ""
+        assert "not positive" in err
+
+    def test_max_n_below_product_minimum_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--representer", "identity",
+                                 "--x", "0.5", "--max-n", "2")
+        assert code == 2
+        assert "max_n" in err
 
     def test_pole_exits_4(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--representer", "identity", "--x", "0")
@@ -143,6 +159,13 @@ class TestReport:
         code, _, err = run_cli(capsys, "report", "--representer", "identity",
                                "--function", "fib", "--range", "0", "1", "5")
         assert code == 2
+
+    def test_non_positive_representer_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "report", "--representer", "x-1",
+                                 "--range", "1", "2", "3")
+        assert code == 2
+        assert out == ""
+        assert "not positive" in err
 
     def test_range_validation(self, capsys):
         code, _, err = run_cli(capsys, "report", "--function", "fib",

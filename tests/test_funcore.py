@@ -103,6 +103,27 @@ class TestRealFunction:
             f.values([0.5, 1.0, 1.5])
         assert err.value.x == 1.0
 
+    def test_values_retries_pointwise_only_for_scalar_only_fns(self):
+        calls = []
+
+        def scalar_only(x):
+            calls.append(x)
+            return math.exp(x)  # TypeError for an array
+
+        assert RealFunction(fn=scalar_only).values([0.5, 1.0]).tolist() == [math.exp(0.5), math.exp(1.0)]
+        assert len(calls) == 3  # the vector call, then one per point
+
+        for error in (KeyError("boom"), DomainError("outside")):
+            calls.clear()
+
+            def failing(x, error=error):
+                calls.append(x)
+                raise error
+
+            with pytest.raises(type(error)):
+                RealFunction(fn=failing).values([0.5, 1.0])
+            assert len(calls) == 1  # propagated from the vector call, no retries
+
     def test_derivative_prefers_exact(self):
         assert IDENTITY.derivative(3.0, 1) == 1.0
         assert IDENTITY.derivative(3.0, 2) == 0.0
