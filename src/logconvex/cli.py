@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from . import bohrmollerup as bm
 from .acceptance import run_checks
+from .convexity import d2_log, q_determinant, stencil
 from .errors import DivergenceError, LogconvexError
 from .representer import from_spec
 from .special import fib_real_fn
@@ -61,7 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-n", type=int, default=2 ** 20, dest="max_n",
                        help="product truncation cap")
         p.add_argument("--out", dest="out_path", help="write output to this file (UTF-8)")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
     p_eval = sub.add_parser("eval", help="evaluate the interpolant at one point")
     p_eval.add_argument("--representer", required=True, dest="representer_spec",
@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--only", help="run only checks whose name contains this tag")
     p_chk.add_argument("--tol", type=float, default=None,
                        help="override computational tolerances inside the checks")
-    p_chk.add_argument("--seed", type=int, default=0)
+    p_chk.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     p_chk.add_argument("--out", dest="out_path")
     return parser
 
@@ -140,8 +140,6 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def _report_rows_function(cfg: RunConfig) -> list[dict]:
-    from .convexity import d2_log, q_determinant
-
     f = fib_real_fn()
     a, b, n = cfg.range_
     rows = []
@@ -181,12 +179,8 @@ def _report_rows_representer(cfg: RunConfig) -> list[dict]:
         row = {"x": x, "f": fv, "log_f": None, "d2_log": None, "q_det": None}
         if fv is not None and fv > 0.0:
             row["log_f"] = math.log(fv)
-            if left is not None and right is not None and left > 0.0 and right > 0.0:
-                row["d2_log"] = (math.log(right) - 2.0 * math.log(fv) + math.log(left)) / (step * step)
         if fv is not None and left is not None and right is not None:
-            f1 = (right - left) / (2.0 * step)
-            f2 = (right - 2.0 * fv + left) / (step * step)
-            row["q_det"] = fv * f2 - f1 * f1
+            row["q_det"], row["d2_log"] = stencil(left, fv, right, step)
         rows.append(row)
     return rows
 

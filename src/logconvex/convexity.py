@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateArguments, NonPositiveError, ZeroValueError
+from .errors import DegenerateArguments, LogconvexError, NonPositiveError, ZeroValueError
 from .funcore import Grid, RealFunction, default_step
 
 LOG_CONVEX = "LogConvex"
@@ -17,6 +17,9 @@ INCONCLUSIVE = "Inconclusive"
 
 #: LogConvex verdict tolerance: min d2log >= -VERDICT_TOL_SCALE * (1 + |max d2log|).
 VERDICT_TOL_SCALE = 1e-7
+
+#: What a failed evaluation at one sample point raises; scans record a gap.
+EVALUATION_ERRORS = (LogconvexError, ArithmeticError, ValueError)
 
 
 def diff_quotient(f: RealFunction, x1: float, x2: float) -> float:
@@ -94,10 +97,21 @@ def d2_log(f: RealFunction, x: float, h: float | None = None) -> float:
         return (f2 * fv - f1 * f1) / (fv * fv)
     if h is None:
         h = default_step(x, 2)
-    fp, fm = f(x + h), f(x - h)
-    if fp <= 0.0 or fm <= 0.0:
+    fp = f(x + h)
+    _, d2 = stencil(f(x - h), fv, fp, h)
+    if d2 is None:
         raise NonPositiveError(f"f is not positive on the stencil around x={x!r}")
-    return (math.log(fp) - 2.0 * math.log(fv) + math.log(fm)) / (h * h)
+    return d2
+
+
+def stencil(fm: float, fv: float, fp: float, h: float) -> tuple[float, float | None]:
+    """Central-difference q and (log f)'' from f(x-h), f(x), f(x+h); (log f)'' needs all three > 0."""
+    d2 = None
+    if fv > 0.0 and fm > 0.0 and fp > 0.0:
+        d2 = (math.log(fp) - 2.0 * math.log(fv) + math.log(fm)) / (h * h)
+    f1 = (fp - fm) / (2.0 * h)
+    f2 = (fp - 2.0 * fv + fm) / (h * h)
+    return fv * f2 - f1 * f1, d2
 
 
 def count_sign_changes(values: Grid) -> np.ndarray:
@@ -164,18 +178,18 @@ def build_report(xs, q_vals, d2_vals) -> ConvexityReport:
 
 
 def _change_locations(xs, vals) -> list[float]:
-    """``count_sign_changes`` over paired sequences; None and non-finite samples count as zeros."""
+    """``count_sign_changes`` over paired sequences; None and non-finite samples are skipped."""
     locations = []
     prev_sign = 0
     prev_x = None
     for x, v in zip(xs, vals):
-        if v is None or not math.isfinite(v) or v == 0.0:
-            prev_x = x
+        if v is None or not math.isfinite(v):
             continue
-        s = 1 if v > 0.0 else -1
-        if prev_sign != 0 and s != prev_sign:
-            locations.append(0.5 * (prev_x + x))
-        prev_sign = s
+        if v != 0.0:
+            s = 1 if v > 0.0 else -1
+            if prev_sign != 0 and s != prev_sign:
+                locations.append(0.5 * (prev_x + x))
+            prev_sign = s
         prev_x = x
     return locations
 
@@ -183,8 +197,8 @@ def _change_locations(xs, vals) -> list[float]:
 def scan_convexity(f: RealFunction, a: float, b: float, n: int, h: float | None = None) -> ConvexityReport:
     """Sample q(f) and (log f)'' on a uniform n-point grid of [a, b].
 
-    Points where evaluation fails are recorded as gaps and force an
-    Inconclusive verdict.
+    Points where evaluation raises one of EVALUATION_ERRORS are recorded as
+    gaps and force an Inconclusive verdict.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -194,10 +208,10 @@ def scan_convexity(f: RealFunction, a: float, b: float, n: int, h: float | None 
     for x in xs:
         try:
             q_vals.append(q_determinant(f, float(x), h))
-        except Exception:
+        except EVALUATION_ERRORS:
             q_vals.append(None)
         try:
             d2_vals.append(d2_log(f, float(x), h))
-        except Exception:
+        except EVALUATION_ERRORS:
             d2_vals.append(None)
     return build_report(xs, q_vals, d2_vals)

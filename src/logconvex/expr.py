@@ -17,6 +17,7 @@ tokens that would have been accepted there.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -24,7 +25,6 @@ import numpy as np
 
 from .errors import DomainError, ParseError, UnboundParameter
 
-FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
 CONSTANTS = {"pi": math.pi, "e": math.e, "phi": (1.0 + math.sqrt(5.0)) / 2.0}
 
 
@@ -63,15 +63,68 @@ class Param(Expr):
 
 @dataclass(frozen=True)
 class Unary(Expr):
-    op: str  # neg, exp, log, sin, cos, sqrt
+    op: str  # a key of _UNARY
     arg: Expr
 
 
 @dataclass(frozen=True)
 class Binary(Expr):
-    op: str  # + - * / ^
+    op: str  # a key of _BINARY
     lhs: Expr
     rhs: Expr
+
+
+# --------------------------------------------------------------------------
+# Operators, each defined once: the parser accepts the unary names, _eval
+# applies the functions (with their real-domain guards), differentiate the
+# derivative rules, and simplify folds constants through _eval.
+# --------------------------------------------------------------------------
+
+def _log(u):
+    if np.any(np.asarray(u) <= 0.0):
+        raise DomainError("log requires a positive argument")
+    return np.log(u)
+
+
+def _sqrt(u):
+    if np.any(np.asarray(u) < 0.0):
+        raise DomainError("sqrt requires a non-negative argument")
+    return np.sqrt(u)
+
+
+def _div(a, b):
+    if np.any(np.asarray(b) == 0.0):
+        raise DomainError("division by zero")
+    return a / b
+
+
+def _pow(a, b):
+    a_arr = np.asarray(a, dtype=float)
+    b_arr = np.asarray(b, dtype=float)
+    if np.any((a_arr < 0.0) & (b_arr != np.floor(b_arr))):
+        raise DomainError("x^c with non-integer c needs x > 0 (real branch)")
+    if np.any((a_arr == 0.0) & (b_arr < 0.0)):
+        raise DomainError("0^c undefined for negative c")
+    with np.errstate(invalid="ignore"):
+        out = np.power(a, b)
+    if np.any(np.isnan(np.asarray(out))) and np.all(np.isfinite(a_arr)) and np.all(np.isfinite(b_arr)):
+        raise DomainError("power evaluation left the real branch")
+    return out
+
+
+_UNARY = {"neg": operator.neg, "exp": np.exp, "log": _log, "sin": np.sin, "cos": np.cos, "sqrt": _sqrt}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "^": _pow}
+#: d/dx of ``node`` = Unary(op, u), given u and du = u'
+_UNARY_DERIVATIVE = {
+    "neg": lambda node, u, du: Unary("neg", du),
+    "exp": lambda node, u, du: Binary("*", node, du),
+    "log": lambda node, u, du: Binary("/", du, u),
+    "sin": lambda node, u, du: Binary("*", Unary("cos", u), du),
+    "cos": lambda node, u, du: Unary("neg", Binary("*", Unary("sin", u), du)),
+    "sqrt": lambda node, u, du: Binary("/", du, Binary("*", Const(2.0), node)),
+}
+
+FUNCTIONS = tuple(op for op in _UNARY if op != "neg")
 
 
 # --------------------------------------------------------------------------
@@ -260,8 +313,8 @@ def _is_int_valued(v: float) -> bool:
 def evaluate(node: Expr, x):
     """Evaluate ``node`` at scalar or ndarray ``x`` on the real branch.
 
-    Raises DomainError for log/sqrt outside their real domains and for
-    ``u^v`` with negative base and non-integer exponent.
+    Raises DomainError for log/sqrt outside their real domains, for division
+    by zero and for ``u^v`` with negative base and non-integer exponent.
     """
     arr = isinstance(x, np.ndarray)
     v = _eval(node, x)
@@ -278,57 +331,10 @@ def _eval(node: Expr, x):
     if isinstance(node, Param):
         raise UnboundParameter({node.name})
     if isinstance(node, Unary):
-        u = _eval(node.arg, x)
-        op = node.op
-        if op == "neg":
-            return -u
-        if op == "exp":
-            return np.exp(u)
-        if op == "log":
-            if np.any(np.asarray(u) <= 0.0):
-                raise DomainError("log requires a positive argument")
-            return np.log(u)
-        if op == "sin":
-            return np.sin(u)
-        if op == "cos":
-            return np.cos(u)
-        if op == "sqrt":
-            if np.any(np.asarray(u) < 0.0):
-                raise DomainError("sqrt requires a non-negative argument")
-            return np.sqrt(u)
-        raise ValueError(f"unknown unary op {op!r}")
+        return _UNARY[node.op](_eval(node.arg, x))
     if isinstance(node, Binary):
-        a = _eval(node.lhs, x)
-        b = _eval(node.rhs, x)
-        op = node.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if np.any(np.asarray(b) == 0.0):
-                raise DomainError("division by zero")
-            return a / b
-        if op == "^":
-            return _eval_pow(a, b)
-        raise ValueError(f"unknown binary op {op!r}")
+        return _BINARY[node.op](_eval(node.lhs, x), _eval(node.rhs, x))
     raise TypeError(f"not an expression node: {node!r}")
-
-
-def _eval_pow(a, b):
-    a_arr = np.asarray(a, dtype=float)
-    b_arr = np.asarray(b, dtype=float)
-    if np.any((a_arr < 0.0) & (b_arr != np.floor(b_arr))):
-        raise DomainError("x^c with non-integer c needs x > 0 (real branch)")
-    if np.any((a_arr == 0.0) & (b_arr < 0.0)):
-        raise DomainError("0^c undefined for negative c")
-    with np.errstate(invalid="ignore"):
-        out = np.power(a, b)
-    if np.any(np.isnan(np.asarray(out))) and np.all(np.isfinite(a_arr)) and np.all(np.isfinite(b_arr)):
-        raise DomainError("power evaluation left the real branch")
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -343,21 +349,7 @@ def differentiate(node: Expr) -> Expr:
     if isinstance(node, Param):
         raise UnboundParameter({node.name})
     if isinstance(node, Unary):
-        u, du = node.arg, differentiate(node.arg)
-        op = node.op
-        if op == "neg":
-            return Unary("neg", du)
-        if op == "exp":
-            return Binary("*", node, du)
-        if op == "log":
-            return Binary("/", du, u)
-        if op == "sin":
-            return Binary("*", Unary("cos", u), du)
-        if op == "cos":
-            return Unary("neg", Binary("*", Unary("sin", u), du))
-        if op == "sqrt":
-            return Binary("/", du, Binary("*", Const(2.0), node))
-        raise ValueError(f"unknown unary op {op!r}")
+        return _UNARY_DERIVATIVE[node.op](node, node.arg, differentiate(node.arg))
     if isinstance(node, Binary):
         a, b = node.lhs, node.rhs
         da, db = differentiate(a), differentiate(b)
@@ -384,25 +376,25 @@ def differentiate(node: Expr) -> Expr:
 
 
 def simplify(node: Expr) -> Expr:
-    """Light bottom-up constant folding; keeps derivative trees small."""
+    """Bottom-up constant folding plus a few identities; keeps derivative trees small.
+
+    A node whose operands are all constants folds to exactly the value
+    ``evaluate`` gives. If that raises DomainError or is not finite, the
+    node stays as it is, so evaluation reports the failure.
+    """
     if isinstance(node, Unary):
         u = simplify(node.arg)
-        if node.op == "neg":
-            if isinstance(u, Const):
-                return Const(-u.value)
-            if isinstance(u, Unary) and u.op == "neg":
-                return u.arg
-        if isinstance(u, Const) and node.op == "exp":
-            return Const(math.exp(u.value))
+        if isinstance(u, Const):
+            return _folded(Unary(node.op, u))
+        if node.op == "neg" and isinstance(u, Unary) and u.op == "neg":
+            return u.arg
         return Unary(node.op, u)
     if isinstance(node, Binary):
         a = simplify(node.lhs)
         b = simplify(node.rhs)
         op = node.op
         if isinstance(a, Const) and isinstance(b, Const):
-            folded = _fold(op, a.value, b.value)
-            if folded is not None:
-                return Const(folded)
+            return _folded(Binary(op, a, b))
         if op == "+":
             if _is_zero(a):
                 return b
@@ -434,35 +426,22 @@ def simplify(node: Expr) -> Expr:
     return node
 
 
+def _folded(node: Expr) -> Expr:
+    """``node``, whose operands are constants, as the Const it evaluates to, if finite."""
+    try:
+        with np.errstate(all="ignore"):
+            v = float(_eval(node, 0.0))
+    except DomainError:
+        return node
+    return Const(v) if math.isfinite(v) else node
+
+
 def _is_zero(node: Expr) -> bool:
     return isinstance(node, Const) and node.value == 0.0
 
 
 def _is_one(node: Expr) -> bool:
     return isinstance(node, Const) and node.value == 1.0
-
-
-def _fold(op: str, a: float, b: float) -> float | None:
-    try:
-        if op == "+":
-            v = a + b
-        elif op == "-":
-            v = a - b
-        elif op == "*":
-            v = a * b
-        elif op == "/":
-            if b == 0.0:
-                return None
-            v = a / b
-        elif op == "^":
-            if a < 0.0 and not _is_int_valued(b):
-                return None
-            v = a ** b
-        else:
-            return None
-    except (OverflowError, ValueError):
-        return None
-    return v if math.isfinite(v) else None
 
 
 # --------------------------------------------------------------------------

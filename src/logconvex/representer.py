@@ -13,7 +13,7 @@ import numpy as np
 from . import expr as ex
 from .errors import NonPositiveError, PoleError, ZeroDerivative
 from .funcore import RealFunction, default_step
-from .special import fib_real, fib_real_d1, fib_real_d2
+from .special import fib_real_fn
 
 _INF = math.inf
 
@@ -125,38 +125,44 @@ def builtin(name: str, c: float | None = None, v: float | None = None) -> Repres
         return Representer(fn=function_from_ast(tree, name=f"constant({v})"),
                            positivity_domain=(-_INF, _INF), name=f"constant({v})", ast=tree)
     if name == "fibonacci":
-        return _fibonacci_representer()
+        # g = u/v with u(x) = fib_real(x+1), v(x) = fib_real(x) and the exact Binet derivatives
+        fib = fib_real_fn()
+        fn = _quotient(fib.shifted(1.0), fib, _fib_pole_check, name="fibonacci")
+        return Representer(fn=fn, positivity_domain=(0.0, _INF), name="fibonacci")
     raise ValueError(f"unknown builtin representer {name!r}")
 
 
-def _fibonacci_representer() -> Representer:
-    # g = u/v with u(x) = fib_real(x+1), v(x) = fib_real(x); quotient-rule
-    # derivatives from the exact Binet derivatives. Each accepts floats and arrays.
-    def v_checked(x):
-        v = fib_real(x)
-        bad = np.abs(v) < FIB_POLE_TOL
-        if np.any(bad):
-            pt = float(np.asarray(x)[bad][0])
-            raise PoleError(f"fibonacci representer pole: fib_real({pt!r}) ~ 0", point=pt)
-        return v
+def _fib_pole_check(x, v) -> None:
+    bad = np.abs(v) < FIB_POLE_TOL
+    if np.any(bad):
+        pt = float(np.asarray(x)[bad][0])
+        raise PoleError(f"fibonacci representer pole: fib_real({pt!r}) ~ 0", point=pt)
 
-    def g(x):
-        return fib_real(x + 1.0) / v_checked(x)
 
-    def g1(x):
-        v = v_checked(x)
-        u, du, dv = fib_real(x + 1.0), fib_real_d1(x + 1.0), fib_real_d1(x)
-        return (du * v - u * dv) / (v * v)
+def _quotient(u: RealFunction, v: RealFunction, check, name: str, ast=None) -> RealFunction:
+    """u/v with quotient-rule d1 and d2; ``check(x, v(x))`` runs before each division.
 
-    def g2(x):
-        v = v_checked(x)
-        u = fib_real(x + 1.0)
-        du, dv = fib_real_d1(x + 1.0), fib_real_d1(x)
-        ddu, ddv = fib_real_d2(x + 1.0), fib_real_d2(x)
-        return (ddu * v - u * ddv) / (v * v) - 2.0 * dv * (du * v - u * dv) / (v * v * v)
+    u and v need exact d1 and d2; every callable accepts floats and arrays.
+    """
+    def den(x):
+        vx = v.fn(x)
+        check(x, vx)
+        return vx
 
-    fn = RealFunction(fn=g, d1=g1, d2=g2, name="fibonacci")
-    return Representer(fn=fn, positivity_domain=(0.0, _INF), name="fibonacci")
+    def val(x):
+        return u.fn(x) / den(x)
+
+    def d1(x):
+        vx = den(x)
+        return (u.d1(x) * vx - u.fn(x) * v.d1(x)) / (vx * vx)
+
+    def d2(x):
+        vx = den(x)
+        ux, du, dv = u.fn(x), u.d1(x), v.d1(x)
+        ddu, ddv = u.d2(x), v.d2(x)
+        return (ddu * vx - ux * ddv) / (vx * vx) - 2.0 * dv * (du * vx - ux * dv) / (vx * vx * vx)
+
+    return RealFunction(fn=val, d1=d1, d2=d2, name=name, ast=ast)
 
 
 def from_spec(spec: str, params: dict[str, float] | None = None) -> Representer:
@@ -214,33 +220,9 @@ def function_from_source(src: str, params: dict[str, float] | None = None,
     return function_from_ast(tree, domain=domain)
 
 
-def _quotient_function(num: ex.Expr, den: ex.Expr, name: str) -> RealFunction:
-    d_num, d_den = num.diff(), den.diff()
-    dd_num, dd_den = d_num.diff(), d_den.diff()
-
-    def check_den(x):
-        dv = ex.evaluate(den, x)
-        if np.any(np.abs(np.asarray(dv)) < DERIVATIVE_TOL):
-            raise ZeroDerivative(f"|f^(k)| < {DERIVATIVE_TOL} in the chain at x={x!r}")
-        return dv
-
-    def val(x):
-        return ex.evaluate(num, x) / check_den(x)
-
-    def d1(x):
-        dv = check_den(x)
-        return (ex.evaluate(d_num, x) * dv - ex.evaluate(num, x) * ex.evaluate(d_den, x)) / (dv * dv)
-
-    def d2(x):
-        dv = check_den(x)
-        u = ex.evaluate(num, x)
-        du, ddv1 = ex.evaluate(d_num, x), ex.evaluate(d_den, x)
-        ddu, ddv2 = ex.evaluate(dd_num, x), ex.evaluate(dd_den, x)
-        return ((ddu * dv - u * ddv2) / (dv * dv)
-                - 2.0 * ddv1 * (du * dv - u * ddv1) / (dv * dv * dv))
-
-    return RealFunction(fn=val, d1=d1, d2=d2, name=name,
-                        ast=ex.simplify(ex.Binary("/", num, den)))
+def _zero_derivative_check(x, dv) -> None:
+    if np.any(np.abs(np.asarray(dv)) < DERIVATIVE_TOL):
+        raise ZeroDerivative(f"|f^(k)| < {DERIVATIVE_TOL} in the chain at x={x!r}")
 
 
 def _chain_symbolic(g_ast: ex.Expr, f_ast: ex.Expr, n: int) -> list[RealFunction]:
@@ -252,7 +234,8 @@ def _chain_symbolic(g_ast: ex.Expr, f_ast: ex.Expr, n: int) -> list[RealFunction
     for k in range(1, n + 1):
         num = ex.simplify(ex.Binary("*", prev, f_derivs[k - 1])).diff()
         den = f_derivs[k]
-        g_k = _quotient_function(num, den, name=f"g{k}")
+        g_k = _quotient(function_from_ast(num), function_from_ast(den), _zero_derivative_check,
+                        name=f"g{k}", ast=ex.simplify(ex.Binary("/", num, den)))
         out.append(g_k)
         prev = g_k.ast
     return out

@@ -9,7 +9,8 @@ from typing import Callable
 
 import numpy as np
 
-from .convexity import ConvexityReport, build_report, count_sign_changes
+from .convexity import (EVALUATION_ERRORS, ConvexityReport, build_report, count_sign_changes,
+                        q_determinant, stencil)
 from .errors import DomainError, NonPositiveError, ToleranceNotMet
 from .funcore import Grid, RealFunction, fd_derivative
 
@@ -178,15 +179,15 @@ def mellin_logconvex_probe(phi: RealFunction | Callable[[float], float], a: floa
             if fv <= 0.0:
                 raise NonPositiveError(f"integral is not positive at x={x!r}")
             fp, fm = integral(x + h), integral(x - h)
-            d2_vals.append((math.log(fp) - 2.0 * math.log(fv) + math.log(fm)) / (h * h))
-            f1 = (fp - fm) / (2.0 * h)
-            f2 = (fp - 2.0 * fv + fm) / (h * h)
-            q_vals.append(fv * f2 - f1 * f1)
+            q, d2 = stencil(fm, fv, fp, h)
+            if d2 is None:
+                raise NonPositiveError(f"integral is not positive around x={x!r}")
         except ToleranceNotMet:
             raise
-        except Exception:
-            q_vals.append(None)
-            d2_vals.append(None)
+        except EVALUATION_ERRORS:
+            q, d2 = None, None
+        q_vals.append(q)
+        d2_vals.append(d2)
     return build_report(xs, q_vals, d2_vals)
 
 
@@ -296,8 +297,6 @@ def _interior_grid(a: float, b: float, grid_n: int) -> np.ndarray:
 def check_inner_multiplicator(f: RealFunction, m: RealFunction, a: float, b: float,
                               grid_n: int = 512) -> MultiplierCheck:
     """Does m make m*f log-convex on (a, b)? Verifies q(m f) >= -1e-7 on a grid."""
-    from .convexity import q_determinant
-
     product = m * f
     for x in _interior_grid(a, b, grid_n):
         x = float(x)

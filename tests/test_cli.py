@@ -11,6 +11,9 @@ from logconvex.cli import main
 
 SQRT_PI = math.sqrt(math.pi)
 
+#: specs with a constant subexpression that cannot be evaluated
+UNEVALUABLE_CONSTANTS = ["x + 0^-1", "x + exp(1000)", "x + 0/0"]
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -47,6 +50,18 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert "not positive" in err
+
+    @pytest.mark.parametrize("spec", UNEVALUABLE_CONSTANTS)
+    def test_unevaluable_constant_exits_2(self, capsys, spec):
+        code, out, err = run_cli(capsys, "eval", "--representer", spec, "--x", "0.5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_seed_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--representer", "identity", "--x", "1", "--seed", "3"])
+        assert exc.value.code == 2
 
     def test_max_n_below_product_minimum_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "eval", "--representer", "identity",
@@ -166,6 +181,13 @@ class TestReport:
         assert code == 2
         assert out == ""
         assert "not positive" in err
+
+    @pytest.mark.parametrize("spec", UNEVALUABLE_CONSTANTS)
+    def test_unevaluable_constant_exits_2(self, capsys, spec):
+        code, out, err = run_cli(capsys, "report", "--representer", spec, "--range", "1", "2", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_range_validation(self, capsys):
         code, _, err = run_cli(capsys, "report", "--function", "fib",

@@ -20,7 +20,7 @@ from logconvex import (
     scan_convexity,
     weak_convexity_test,
 )
-from logconvex.convexity import INCONCLUSIVE, LOG_CONVEX, NOT_LOG_CONVEX
+from logconvex.convexity import INCONCLUSIVE, LOG_CONVEX, NOT_LOG_CONVEX, build_report, stencil
 from logconvex.funcore import Grid
 
 
@@ -210,6 +210,25 @@ class TestClosureLaws:
                 assert d2_log(f, float(x)) >= -1e-10
 
 
+class TestStencil:
+    def test_exp_samples(self):
+        h = 0.01
+        q, d2 = stencil(math.exp(-h), 1.0, math.exp(h), h)
+        assert d2 == pytest.approx(0.0, abs=1e-10)  # log f is affine
+        assert q == pytest.approx(0.0, abs=1e-4)
+
+    def test_square_samples(self):
+        h = 0.5
+        q, d2 = stencil(0.25, 1.0, 2.25, h)  # x^2 at x = 1
+        assert q == 1.0 * 2.0 - 2.0 ** 2
+        assert d2 == pytest.approx((math.log(2.25) + math.log(0.25)) / 0.25)
+
+    def test_non_positive_sample_leaves_log_out(self):
+        q, d2 = stencil(-1.0, 1.0, 3.0, 1.0)
+        assert d2 is None
+        assert q == 1.0 * 0.0 - 2.0 ** 2
+
+
 class TestCountSignChanges:
     def test_sine_on_full_period(self):
         f = RealFunction(fn=math.sin)
@@ -237,6 +256,12 @@ class TestCountSignChanges:
         ys2 = np.array([0.0, 0.0, 1.0, 1.0, 1.0])  # leading zeros never count
         assert len(count_sign_changes(Grid(a=0.0, b=1.0, n=5, xs=xs, ys=ys2))) == 0
 
+    def test_change_across_a_gap_is_placed_between_the_real_samples(self):
+        report = build_report([0.0, 1.0, 2.0], [1.0, None, -1.0], [1.0, None, -1.0])
+        assert report.sign_changes == [1.0]
+        report = build_report([0.0, 1.0, 2.0, 3.0], [1.0, math.nan, 0.0, -1.0], [1.0] * 4)
+        assert report.sign_changes == [2.5]  # the zero still attaches to the preceding sign
+
 
 class TestConvexityReport:
     def test_log_convex_verdict(self):
@@ -261,6 +286,13 @@ class TestConvexityReport:
         assert data["grid_n"] == 11
         assert all(len(pair) == 2 for pair in data["q_values"])
         assert data["interval"] == [-1.0, 1.0]
+
+    def test_unexpected_errors_propagate(self):
+        def fn(x):
+            raise KeyError("bug")
+
+        with pytest.raises(KeyError):
+            scan_convexity(RealFunction(fn=fn), 0.5, 1.5, 5)
 
     def test_sign_change_locations_interior_and_sorted(self):
         # (log f)'' of exp(x^3) is 6x: one sign change at 0

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import logconvex.expr as ex
 from logconvex import DomainError, ParseError, UnboundParameter
@@ -133,3 +135,58 @@ class TestEvaluationDomain:
         np.testing.assert_allclose(ex.evaluate(tree, xs), np.exp(-xs ** 2 / 2))
         const = ex.parse("3")
         np.testing.assert_array_equal(ex.evaluate(const, xs), np.full(5, 3.0))
+
+
+class TestOperatorTables:
+    def test_parser_evaluator_and_differentiator_agree(self):
+        assert set(ex._UNARY) == set(ex._UNARY_DERIVATIVE) == set(ex.FUNCTIONS) | {"neg"}
+        assert set(ex._BINARY) == set("+-*/^")
+
+    @pytest.mark.parametrize("op", ex.FUNCTIONS)
+    def test_every_function_parses_evaluates_and_differentiates(self, op):
+        f = function_from_source(f"{op}(x)")
+        assert f(0.5) == float(ex._UNARY[op](0.5))
+        assert math.isfinite(f.derivative(0.5, 1)) and math.isfinite(f.derivative(0.5, 2))
+
+
+CONSTS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.0, 0.5]),
+                   st.floats(-4.0, 4.0, allow_nan=False).map(lambda v: round(v, 3)))
+TREES = st.recursive(
+    st.one_of(CONSTS.map(ex.Const), st.just(ex.Var())),
+    lambda kids: st.one_of(
+        st.builds(ex.Unary, st.sampled_from(sorted(ex._UNARY)), kids),
+        st.builds(ex.Binary, st.sampled_from(sorted(ex._BINARY)), kids, kids),
+    ),
+    max_leaves=8,
+)
+
+
+class TestConstantFolding:
+    @settings(max_examples=400, deadline=None)
+    @given(TREES, st.floats(-3.0, 3.0, allow_nan=False))
+    @example(ex.parse("2.028^-0.467*x"), 1.0)
+    def test_simplify_keeps_every_finite_value(self, tree, x):
+        with np.errstate(all="ignore"):
+            try:
+                want = ex.evaluate(tree, x)
+            except DomainError:
+                return
+            if math.isfinite(want):
+                assert ex.evaluate(ex.simplify(tree), x) == want
+
+    def test_folds_are_evaluations(self):
+        for src in ("log(2)", "sqrt(2)", "sin(1)", "cos(1)", "exp(0.7)", "2.028^-0.467", "3/7"):
+            folded = ex.simplify(ex.parse(src))
+            assert folded == ex.Const(float(ex.evaluate(ex.parse(src), 0.0)))
+            assert type(folded.value) is float
+
+    @pytest.mark.parametrize("src", ["0/0", "0^-1", "exp(1000)", "log(-1)", "(-8)^(1/3)"])
+    def test_unevaluable_constants_stay_unfolded(self, src):
+        tree = ex.simplify(ex.parse(src))
+        assert not isinstance(tree, ex.Const)
+        with np.errstate(all="ignore"):
+            try:
+                v = ex.evaluate(tree, 0.0)
+            except DomainError:
+                return
+        assert not math.isfinite(v)

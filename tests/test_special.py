@@ -147,6 +147,13 @@ class TestMellin:
                                    [1.0, 2.0], tol=1e-30)
         assert "x=" in str(err.value)
 
+    def test_probe_lets_unexpected_errors_through(self):
+        def phi(t):
+            raise KeyError("bug")
+
+        with pytest.raises(KeyError):
+            mellin_logconvex_probe(phi, 1.0, 2.0, [1.0, 2.0])
+
 
 class TestRiemannSum:
     def test_flat_integrand(self):
