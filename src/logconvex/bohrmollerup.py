@@ -2,13 +2,21 @@
 
     f(x) = lim_n  g(n)^x * prod_{k} g(k)/g(x+k)      (g(0) := 1)
 
-with two-sided truncation control
+on the base interval (0, 1], evaluated in its higher-order form (the
+generalized Gauss product of Marichal & Zenaidi)
+
+    log f(x) = lim_n  sum_{k<n} (log g(k) - log g(x+k)) + sum_{j=1..p} C(x, j) Delta^{j-1} log g(n),
+
+whose error is at most |C(x-1, p)| |Delta^p log g(n)| where log g is
+p-convex or p-concave past n (Delta is the forward difference in n). Where
+that is not seen, the plain product's two-sided bounds
 
     p_{n+1}(x) g(n)^x  <=  f(x)  <=  p_n(x) g(n)^x,   p_n(x) = prod_{k<n} g(k)/g(x+k),
 
-valid on the base interval (0, 1]. Arguments outside (0, 1] are reduced by
-iterating the functional equation; the normalization f(1) = 1 anchors integer
-arguments exactly.
+which hold for log-convex f, give the value and, with the move since the
+last doubling of n, the error. Arguments outside (0, 1] are reduced by
+iterating the functional equation; the normalization f(1) = 1 anchors
+integer arguments exactly.
 """
 
 from __future__ import annotations
@@ -32,17 +40,32 @@ POLE_TOL = 1e-300
 #: Series term budget before ToleranceNotMet (monotone but too-slow decay).
 SERIES_BUDGET = 2 ** 24
 
+#: Order p of the generalized Gauss product: its error falls like n^-p.
+ORDER = 4
+
+#: Delta log g(n) must fall to at most this share of its value one doubling
+#: earlier before the order-p bound is trusted; exp(x), outside the class the
+#: library constructs, keeps the ratio 1.
+SHRINK = 0.75
+
+#: Arguments per vector call of g in the product sums and the shift chain.
+CHUNK = 2 ** 14
+
+#: Double-precision epsilon: the rounding allowance per term and per scaling step.
+EPS = 2.0 ** -52
+
 
 @dataclass(frozen=True)
 class ProductState:
     """Truncation diagnostics for one evaluation of the product representation.
 
     ``n`` is the final truncation index, ``p_n`` the partial product at the
-    reduced base argument, ``lower``/``upper`` the sandwich bounds, ``value``
-    the geometric mean of the bounds, ``rel_gap`` = |g(x+n)/g(n) - 1|.
-    ``n`` = 0 marks an exact anchor: an integer x, whose value the
-    normalization f(1) = 1 and the functional equation give without a
-    product, so the bounds equal the value.
+    reduced base argument, ``value`` the interpolant, ``lower``/``upper`` =
+    value * exp(-+bound) its error bracket, ``rel_gap`` = |g(x+n)/g(n) - 1|,
+    and ``converged`` says that the bound met the tolerance. ``n`` = 0 marks
+    an exact anchor: an integer x, whose value the normalization f(1) = 1
+    and the functional equation give without a product, so the bounds equal
+    the value.
     """
 
     n: int
@@ -80,34 +103,146 @@ def _log_terms(g: Representer, x: float, lo: int, hi: int) -> float:
     NonPositiveError at the first k with a non-positive factor.
     """
     ks = np.arange(lo, hi, dtype=float)
-    if lo == 0:
-        num = np.concatenate(([1.0], g.values(ks[1:])))
-        den = np.concatenate(([1.0], g.values(x + ks[1:]))) if x == 0.0 else g.values(x + ks)
-    else:
-        num, den = g.values(ks), g.values(x + ks)
-    tiny = np.abs(den) < POLE_TOL
-    if np.any(tiny):
-        k = lo + int(np.argmax(tiny))
-        raise PoleError(f"g(x+k) vanishes at k={k} (x+k={x + k!r})", point=x + k, k=k)
-    if not (np.all(num > 0.0) and np.all(den > 0.0)):
-        k = lo + int(np.argmax((num <= 0.0) | (den <= 0.0)))
-        raise NonPositiveError(f"representer must stay positive on (0, inf); "
-                               f"g(k) or g(x+k) <= 0 at k={k} (x={x!r})")
-    return float(np.sum(np.log(num) - np.log(den)))
+    args = np.concatenate((ks, x + ks))
+    unit = ([0, ks.size] if x == 0.0 else [0]) if lo == 0 else []
+    args[unit] = 1.0  # the g(0) := 1 factors: a stand-in argument inside g's domain
+    vals = g.values(args)
+    num, den = vals[:ks.size], vals[ks.size:]
+    if not vals.min() >= POLE_TOL:  # a vanishing or non-positive factor, or a tiny numerator
+        tiny = np.abs(den) < POLE_TOL
+        if np.any(tiny):
+            k = lo + int(np.argmax(tiny))
+            raise PoleError(f"g(x+k) vanishes at k={k} (x+k={x + k!r})", point=x + k, k=k)
+        if not (np.all(num > 0.0) and np.all(den > 0.0)):
+            k = lo + int(np.argmax((num <= 0.0) | (den <= 0.0)))
+            raise NonPositiveError(f"representer must stay positive on (0, inf); "
+                                   f"g(k) or g(x+k) <= 0 at k={k} (x={x!r})")
+    logs = np.log(vals)
+    logs[unit] = 0.0
+    return float(np.sum(logs[:ks.size] - logs[ks.size:]))
 
 
 def _shift_product(g: Representer, x: float, count: int) -> float:
     """prod_{k<count} g(x+k) left to right (empty product 1). A vanishing factor, which
     a representer positive on (0, inf) has only below x = 0, raises PoleError."""
-    if count <= 0:
-        return 1.0
-    vals = g.values(x + np.arange(count, dtype=float))
-    tiny = np.abs(vals) < POLE_TOL
-    if np.any(tiny):
-        k = int(np.argmax(tiny))
-        raise PoleError(f"g({x + k!r}) vanishes in the negative-extension chain",
-                        point=x + k, k=k)
-    return math.prod(vals.tolist())
+    acc = 1.0
+    for lo in range(0, count, CHUNK):
+        vals = g.values(x + np.arange(lo, min(lo + CHUNK, count), dtype=float))
+        tiny = np.abs(vals) < POLE_TOL
+        if np.any(tiny):
+            k = lo + int(np.argmax(tiny))
+            raise PoleError(f"g({x + k!r}) vanishes in the negative-extension chain",
+                            point=x + k, k=k)
+        acc = math.prod(vals.tolist(), start=acc)
+    return acc
+
+
+def _sandwich_logs(g: Representer, x: float, n: int, log_pn: float, g_n: float,
+                   g_xn: float) -> tuple[float, float, float]:
+    """(log p_{n+1}(x), x log g(n), |g(x+n)/g(n) - 1|) from log p_n(x) and g at n and
+    x+n; the sandwich bounds are exp(log p_{n+1} + x log g(n)) and exp(log p_n + x log g(n))."""
+    if not (g_n > 0.0 and g_xn >= POLE_TOL):
+        _log_terms(g, x, n, n + 1)  # raises the k = n term's PoleError or NonPositiveError
+    return log_pn + (math.log(g_n) - math.log(g_xn)), x * math.log(g_n), abs(g_xn / g_n - 1.0)
+
+
+def _gauss_tail(x: float, vals: list[float]) -> tuple[float, float, float, bool]:
+    """The order-p terms from vals = g(n .. n+2p).
+
+    Returns (sum_{j=1..p} C(x, j) Delta^{j-1} log g(n), |C(x-1, p)| |Delta^p log g(n)|,
+    Delta log g(n), whether Delta^p log g keeps one sign over n .. n+p).
+    """
+    if not min(vals) > 0.0:
+        return 0.0, math.inf, math.nan, False
+    d = [math.log(v) for v in vals]
+    d1 = d[1] - d[0]
+    tail, c, c_prev = 0.0, 1.0, 1.0  # c = C(x, j), c_prev = C(x-1, j)
+    for j in range(1, ORDER + 1):
+        c *= (x - j + 1) / j
+        c_prev *= (x - j) / j
+        tail += c * d[0]
+        d = [b - a for a, b in zip(d, d[1:])]
+    one_sign = min(d) >= 0.0 or max(d) <= 0.0
+    return tail, abs(c_prev * d[0]), d1, one_sign
+
+
+def _base_state(g: Representer, x0: float, m: int, tol: float, max_n: int) -> ProductState:
+    """The product at x0 in (0, 1], n doubling from 4 until the bound meets ``tol``.
+
+    Short of ``tol``, the level with the smallest bound is returned, once
+    ``max_n`` is reached or the rounding allowance of the next level alone
+    exceeds that bound.
+
+    A level trusts the order-p bound where its hypothesis is seen: Delta log g(n)
+    is 0 or at most SHRINK times its value at the last level, and Delta^p log g
+    keeps one sign. Elsewhere (the fibonacci representer, whose log g
+    oscillates) the value is the sandwich midpoint, and the bound covers half
+    the sandwich and, after the first level, the move since the last level:
+    the sandwich alone brackets f only where f is log-convex. Either bound
+    adds a rounding allowance of (n + |m| + 1) eps for the n terms and the
+    |m|-step scaling. DivergenceError is raised when the ratio gap
+    |g(x+n)/g(n) - 1| fails to decrease over three successive doublings, the
+    signature of a representer violating lim g(n)/g(x+n) = 1.
+    """
+    if not (tol > 0.0):
+        raise ValueError("tol must be positive")
+    if max_n < 4:
+        raise ValueError("max_n must be >= 4")
+    n, have = 4, 0  # log_pn sums the log terms for k < have
+    log_pn = 0.0
+    prev_gap, prev_log_value = math.inf, None
+    prev_d1 = 0.0  # no level yet: only Delta log g(n) = 0 counts as shrinking
+    stalled = 0
+    best = (math.inf,)  # (bound, n, log_pn, log_value, rel_gap) of the tightest level
+    while True:
+        for lo in range(have, n, CHUNK):
+            log_pn += _log_terms(g, x0, lo, min(lo + CHUNK, n))
+        have = n
+        # g at n .. n+2p for the order-p terms, then at x0 + n for the sandwich
+        vals = g.values(np.array([*range(n, n + 2 * ORDER + 1), x0 + n], dtype=float)).tolist()
+        log_pn1, log_gx, rel_gap = _sandwich_logs(g, x0, n, log_pn, vals[0], vals[-1])
+        tail, bound, d1, one_sign = _gauss_tail(x0, vals[:-1])
+        if one_sign and (d1 == 0.0 or abs(d1) <= SHRINK * abs(prev_d1)):
+            log_value = log_pn + tail
+        else:
+            log_value = 0.5 * (log_pn + log_pn1) + log_gx
+            bound = 0.5 * abs(log_pn - log_pn1)
+            if prev_log_value is not None:  # the sandwich alone brackets only log-convex f
+                bound = max(bound, abs(log_value - prev_log_value))
+        bound += (n + abs(m) + 1) * EPS
+        if bound < best[0]:
+            best = (bound, n, log_pn, log_value, rel_gap)
+        if bound <= tol:
+            break
+        stalled = stalled + 1 if rel_gap >= prev_gap * (1.0 - 1e-12) else 0
+        if stalled >= 3:
+            raise DivergenceError(
+                f"|g(x+n)/g(n) - 1| = {rel_gap:.3e} failed to decrease over three "
+                f"doublings (n={n}); the representer violates lim g(n)/g(x+n) = 1")
+        prev_gap, prev_d1, prev_log_value = rel_gap, d1, log_value
+        # no later level can beat the best: its rounding allowance alone is larger
+        if n >= max_n or best[0] <= (2 * n + abs(m) + 1) * EPS:
+            break
+        n = min(2 * n, max_n)
+    bound, n, log_pn, log_value, rel_gap = best
+    value = math.exp(log_value)
+    return ProductState(n=n, p_n=math.exp(log_pn), lower=value * math.exp(-bound),
+                        upper=value * math.exp(bound), value=value, rel_gap=rel_gap,
+                        converged=bound <= tol)
+
+
+def _scaled(g: Representer, x: float, x0: float, m: int, state: ProductState) -> ProductState:
+    """The base state at x0 carried to x = x0 + m by the functional equation: for
+    m >= 0 it multiplies forward; for m < 0 the solved form
+    f(x) = f(x + |m|) / prod g(x + k) divides, raising PoleError when a factor
+    vanishes. Bounds swap when the scale is negative, as for Gamma on (-1, 0)."""
+    if m >= 0:
+        factor = _shift_product(g, x0, m)
+        value, a, b = state.value * factor, state.lower * factor, state.upper * factor
+    else:
+        den = _shift_product(g, x, -m)
+        value, a, b = state.value / den, state.lower / den, state.upper / den
+    return replace(state, value=value, lower=min(a, b), upper=max(a, b))
 
 
 def partial_product(g: Representer, x: float, n: int) -> float:
@@ -127,64 +262,24 @@ def sandwich_bounds(g: Representer, x: float, n: int) -> tuple[float, float]:
         raise DomainError(f"sandwich bounds need 0 < x <= 1, got {x!r}")
     if n < 2:
         raise ValueError("n must be >= 2")
-    p_n = partial_product(g, x, n)
-    p_n1 = partial_product(g, x, n + 1)
-    gx = g(float(n)) ** x
-    return p_n1 * gx, p_n * gx
+    log_pn = _log_terms(g, x, 0, n)
+    log_pn1, log_gx, _ = _sandwich_logs(g, x, n, log_pn, g(float(n)), g(x + float(n)))
+    return math.exp(log_pn1 + log_gx), math.exp(log_pn + log_gx)
 
 
 def evaluate(g: Representer, x: float, tol: float = DEFAULT_TOL,
              max_n: int = DEFAULT_MAX_N) -> ProductState:
     """Evaluate the product representation at x > 0.
 
-    The argument is reduced to the base interval (0, 1]; n doubles until the
-    ratio gap |g(x+n)/g(n) - 1| and the relative bracket width both fall
-    below ``tol``, or ``max_n`` is reached (converged=False). The returned
-    value is the geometric mean of the sandwich bounds. DivergenceError is
-    raised when the gap fails to decrease over three successive doublings,
-    the signature of a representer violating lim g(n)/g(x+n) = 1.
+    The argument is reduced to the base interval (0, 1], where n doubles
+    until the error bound meets ``tol`` or ``max_n`` is reached
+    (converged=False); see ``_base_state``. The functional equation then
+    scales the state forward.
     """
     if not (x > 0.0):
         raise DomainError(f"evaluate needs x > 0, got {x!r}")
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
-    if max_n < 4:
-        raise ValueError("max_n must be >= 4")
     x0, m = reduce_to_base(x)
-    scale = _shift_product(g, x0, m)
-
-    n, have = 4, 0  # log_pn sums the log terms for k < have
-    log_pn = 0.0
-    prev_gap = math.inf
-    stalled = 0
-    while True:
-        log_pn += _log_terms(g, x0, have, n)
-        have = n
-        g_n = g(float(n))
-        g_xn = g(x0 + float(n))
-        if not (g_n > 0.0 and g_xn >= POLE_TOL):
-            _log_terms(g, x0, n, n + 1)  # raises the k = n term's PoleError or NonPositiveError
-        log_pn1 = log_pn + (math.log(g_n) - math.log(g_xn))
-        log_gx = x0 * math.log(g_n)
-        lower = math.exp(log_pn1 + log_gx)
-        upper = math.exp(log_pn + log_gx)
-        value = math.exp(0.5 * (log_pn + log_pn1) + log_gx)
-        rel_gap = abs(g_xn / g_n - 1.0)
-        converged = rel_gap <= tol and (upper - lower) <= tol * abs(value)
-        if converged:
-            break
-        stalled = stalled + 1 if rel_gap >= prev_gap * (1.0 - 1e-12) else 0
-        if stalled >= 3:
-            raise DivergenceError(
-                f"|g(x+n)/g(n) - 1| = {rel_gap:.3e} failed to decrease over three "
-                f"doublings (n={n}); the representer violates lim g(n)/g(x+n) = 1")
-        prev_gap = rel_gap
-        if n >= max_n:
-            break
-        n = min(2 * n, max_n)
-
-    return ProductState(n=n, p_n=math.exp(log_pn), lower=lower * scale, upper=upper * scale,
-                        value=value * scale, rel_gap=rel_gap, converged=converged)
+    return _scaled(g, x, x0, m, _base_state(g, x0, m, tol, max_n))
 
 
 def extended_state(g: Representer, x: float, tol: float = DEFAULT_TOL,
@@ -193,21 +288,16 @@ def extended_state(g: Representer, x: float, tol: float = DEFAULT_TOL,
 
     Writes x = x0 + m with x0 in (0, 1]. The base state is the product
     evaluation, except at x0 = 1, where the normalization f(1) = 1 is exact
-    and no product runs. For m >= 0 the functional equation multiplies
-    forward; for m < 0 the solved form f(x) = f(x + |m|) / prod g(x + k)
-    extends to negative reals, raising PoleError when a factor vanishes.
-    Bounds swap when the scale is negative, as for Gamma on (-1, 0).
+    and no product runs. The functional equation carries it to x, forward for
+    m >= 0 (for non-integer x > 0 this is ``evaluate``) and solved backwards
+    for m < 0, which extends f to negative reals.
     """
     x0, m = reduce_to_base(x)
-    state = evaluate(g, x0, tol, max_n) if x0 != 1.0 else ProductState(
+    if x0 != 1.0 and m >= 0:
+        return evaluate(g, x, tol, max_n)
+    state = _base_state(g, x0, m, tol, max_n) if x0 != 1.0 else ProductState(
         n=0, p_n=1.0, lower=1.0, upper=1.0, value=1.0, rel_gap=0.0, converged=True)
-    if m >= 0:
-        factor = _shift_product(g, x0, m)
-        value, a, b = state.value * factor, state.lower * factor, state.upper * factor
-    else:
-        den = _shift_product(g, x, -m)
-        value, a, b = state.value / den, state.lower / den, state.upper / den
-    return replace(state, value=value, lower=min(a, b), upper=max(a, b))
+    return _scaled(g, x, x0, m, state)
 
 
 def extend(g: Representer, x: float, tol: float = DEFAULT_TOL,

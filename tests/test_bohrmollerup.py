@@ -1,6 +1,7 @@
 """Product representation, sandwich bounds, extension, series, bilinear form."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from logconvex import (
     NonPositiveError,
     PoleError,
     RealFunction,
+    Representer,
     SeriesDivergence,
     ZeroValueError,
     bilinear_a,
@@ -20,12 +22,14 @@ from logconvex import (
     evaluate,
     extend,
     extended_state,
+    fib_real,
     interpolation_targets,
     logconvexity_series,
     parse_representer,
     partial_product,
     sandwich_bounds,
 )
+from logconvex import bohrmollerup as bm
 from logconvex.bohrmollerup import reduce_to_base
 
 SQRT_PI = math.sqrt(math.pi)
@@ -116,6 +120,20 @@ class TestSandwichBounds:
         with pytest.raises(ValueError):
             sandwich_bounds(IDENTITY, 0.5, 1)
 
+    def test_one_pass_over_the_terms(self):
+        """p_n and p_{n+1} come from one sum: about 2n points of g, not 4n."""
+        points = []
+
+        def counted(x):
+            points.append(np.size(x))
+            return x
+
+        g = Representer(fn=RealFunction(fn=counted))
+        points.clear()  # construction spot-checks positivity
+        lower, upper = sandwich_bounds(g, 0.5, 1000)
+        assert sum(points) <= 2002
+        assert lower <= SQRT_PI <= upper
+
     def test_brackets_shrink_when_n_doubles(self):
         for x in (0.2, 0.5, 0.9):
             prev = math.inf
@@ -160,6 +178,47 @@ class TestEvaluate:
         g = parse_representer("exp(x)")
         with pytest.raises(DivergenceError):
             evaluate(g, 0.5, tol=1e-6)
+
+    @pytest.mark.parametrize("x", [0.1, 0.5, 0.9, 3.5])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-12])
+    def test_exponential_diverges_although_its_order_p_bound_reads_zero(self, x, tol):
+        """Delta^p log g = 0 for exp(x), but Delta log g(n) = 1 never shrinks, so the
+        order-p bound is never trusted and the stall check still fires."""
+        g = parse_representer("exp(x)")
+        tail = bm._gauss_tail(x % 1.0, g.values(16.0 + np.arange(2 * bm.ORDER + 1)).tolist())
+        assert tail[1] <= 1e-13 and tail[2] == pytest.approx(1.0) and tail[3]
+        with pytest.raises(DivergenceError):
+            evaluate(g, x, tol=tol)
+
+    @pytest.mark.parametrize("v", [0.5, 2.0, 7.0])
+    def test_constant_stops_at_the_first_level(self, v):
+        for x in (0.01, 0.5, 0.99, 4.25):
+            state = evaluate(builtin("constant", v=v), x, tol=1e-12)
+            assert state.converged and state.n == 4 and state.rel_gap == 0.0
+            assert state.value == pytest.approx(v ** (x - 1.0), rel=1e-14)
+
+    def test_unreachable_tol_returns_the_tightest_level(self):
+        """Below the rounding floor no level converges: the engine stops once the next
+        level's rounding allowance alone exceeds the best bound, and returns that level."""
+        state = evaluate(IDENTITY, 0.5, tol=1e-15)
+        assert not state.converged and state.n <= 2 ** 13
+        assert state.value == pytest.approx(SQRT_PI, rel=1e-12)
+        assert state.lower <= SQRT_PI <= state.upper
+        assert state.upper - state.lower <= 1e-11
+
+    @pytest.mark.parametrize("x", [0.03, 0.5, 0.97, 2.3, 7.61, 30.2, -0.4, -2.75])
+    def test_fibonacci_falls_back_and_stays_bracketed(self, x):
+        """Delta^p log g alternates in sign for fibonacci, so the engine uses the sandwich
+        fallback; its bracket still holds fib_real, to which the product telescopes."""
+        g = builtin("fibonacci")
+        state = extended_state(g, x, tol=1e-12)
+        want = fib_real(x)
+        assert state.converged
+        assert abs(state.value - want) <= 1e-12 * abs(want)
+        assert state.lower <= want <= state.upper
+        x0, _ = reduce_to_base(x)
+        vals = g.values(state.n + np.arange(2 * bm.ORDER + 1, dtype=float)).tolist()
+        assert not bm._gauss_tail(x0, vals)[3]
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
@@ -230,6 +289,22 @@ class TestExtend:
         # below 1 the anchor runs the functional equation backwards: 3^-2 at x = -1
         state = extended_state(builtin("constant", v=3.0), -1.0)
         assert state.n == 0 and state.value == state.lower == state.upper == pytest.approx(1.0 / 9.0)
+
+    def test_shift_chain_memory_is_bounded(self):
+        g = builtin("constant", v=2.0)
+        tracemalloc.start()
+        try:
+            extend(g, -1e6 - 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    def test_shift_chain_is_one_left_to_right_product(self):
+        g = builtin("power", c=0.001)
+        for count in (1, bm.CHUNK - 1, bm.CHUNK, 2 * bm.CHUNK + 3):
+            whole = math.prod(g.values(0.25 + np.arange(count, dtype=float)).tolist())
+            assert bm._shift_product(g, 0.25, count) == whole
 
     def test_extended_state_brackets_negative_values(self):
         state = extended_state(IDENTITY, -0.5, tol=1e-6)
