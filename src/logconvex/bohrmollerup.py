@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, NonPositiveError, PoleError, \
     SeriesDivergence, ToleranceNotMet, ZeroValueError
-from .funcore import RealFunction
+from .funcore import EPS, RealFunction
 from .representer import Representer
 
 DEFAULT_TOL = 1e-8
@@ -50,10 +50,6 @@ SHRINK = 0.75
 
 #: Arguments per vector call of g in the product sums and the shift chain.
 CHUNK = 2 ** 14
-
-#: Double-precision epsilon: the rounding allowance per term and per scaling step.
-EPS = 2.0 ** -52
-
 
 @dataclass(frozen=True)
 class ProductState:
@@ -334,7 +330,6 @@ def logconvexity_series(g: Representer, x: float, tol: float = 1e-8) -> float:
     total = 0.0
     k = 0
     chunk = 64
-    streak = 0
     prev_last_abs = None
     while k < SERIES_BUDGET:
         size = min(chunk, SERIES_BUDGET - k)
@@ -354,16 +349,13 @@ def logconvexity_series(g: Representer, x: float, tol: float = 1e-8) -> float:
         if abs(last) < tol * scale and abs(tail) < tol * scale:
             return total + tail
         abs_terms = np.abs(terms)
-        # "failed to decrease" up to float jitter in the term arithmetic
-        within = bool(np.all(abs_terms[1:] >= abs_terms[:-1] * (1.0 - 1e-12))) if size > 1 else True
-        joins = prev_last_abs is None or abs_terms[0] >= prev_last_abs * (1.0 - 1e-12)
-        if within and joins:
-            streak += size
-        else:
-            streak = 0
-        if streak >= 64:
+        # Chunks run 64, 128, ..., 65536 and the budget leaves a last chunk of
+        # 64, so one chunk that does not decrease (up to float jitter in the
+        # term arithmetic) and joins the previous one is 64 such terms already.
+        if (np.all(abs_terms[1:] >= abs_terms[:-1] * (1.0 - 1e-12))
+                and (prev_last_abs is None or abs_terms[0] >= prev_last_abs * (1.0 - 1e-12))):
             raise SeriesDivergence(
-                f"series terms non-decreasing over {streak} consecutive k near k={k}")
+                f"series terms non-decreasing over {size} consecutive k near k={k}")
         prev_last_abs = float(abs_terms[-1])
         chunk = min(2 * chunk, 65536)
     raise ToleranceNotMet(f"series did not reach tol={tol!r} within {SERIES_BUDGET} terms")

@@ -17,7 +17,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+
+import numpy as np
 
 from . import bohrmollerup as bm
 from .acceptance import run_checks
@@ -32,23 +33,6 @@ EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 EXIT_PARTIAL = 4
 
-_NA = "NA"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    representer_spec: str | None = None
-    function: str | None = None
-    x: float | None = None
-    range_: tuple[float, float, int] | None = None
-    tol: float | None = 1e-8  # None only for checks: use per-check defaults
-    max_n: int = 2 ** 20
-    output: str = ""
-    out_path: str | None = None
-    seed: int = 0
-    only: str | None = None
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -58,8 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=1e-8, help="computational tolerance")
-        p.add_argument("--max-n", type=int, default=2 ** 20, dest="max_n",
+        p.add_argument("--tol", type=float, default=bm.DEFAULT_TOL, help="computational tolerance")
+        p.add_argument("--max-n", type=int, default=bm.DEFAULT_MAX_N, dest="max_n",
                        help="product truncation cap")
         p.add_argument("--out", dest="out_path", help="write output to this file (UTF-8)")
 
@@ -96,32 +80,43 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+def _fail(message: object, code: int = EXIT_CONFIG) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
-def cmd_eval(cfg: RunConfig) -> int:
+def _cell(v) -> str:
+    if v is None:
+        return "NA"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return f"{v:.17g}"  # round-trips to the same double
+    return str(v)
+
+
+def _csv(rows: list[dict]) -> str:
+    lines = [",".join(rows[0])] + [",".join(_cell(v) for v in row.values()) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def cmd_eval(ns: argparse.Namespace) -> int:
     try:
-        g = from_spec(cfg.representer_spec)
-    except (LogconvexError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        g = from_spec(ns.representer_spec)
+    except (LogconvexError, ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
+        return _fail(exc)
     try:
-        state = bm.extended_state(g, cfg.x, tol=cfg.tol, max_n=cfg.max_n)
+        state = bm.extended_state(g, ns.x, tol=ns.tol, max_n=ns.max_n)
     except ValueError as exc:  # --max-n out of range
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(exc)
     except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
+        return _fail(exc, EXIT_DIVERGENCE)
     except LogconvexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARTIAL
+        return _fail(exc, EXIT_PARTIAL)
     if not math.isfinite(state.value):
-        print(f"error: non-finite value {state.value!r} at x={cfg.x!r}", file=sys.stderr)
-        return EXIT_PARTIAL
+        return _fail(f"non-finite value {state.value!r} at x={ns.x!r}", EXIT_PARTIAL)
     fields = {
-        "x": cfg.x,
+        "x": ns.x,
         "value": state.value,
         "n_used": state.n,
         "lower": state.lower,
@@ -129,19 +124,13 @@ def cmd_eval(cfg: RunConfig) -> int:
         "rel_gap": state.rel_gap,
         "converged": state.converged,
     }
-    if cfg.output == "csv":
-        head = ",".join(fields)
-        row = ",".join(_fmt(v) if isinstance(v, float) else str(v).lower() if isinstance(v, bool) else str(v)
-                       for v in fields.values())
-        _emit(head + "\n" + row + "\n", cfg.out_path)
-    else:
-        _emit(json.dumps(fields) + "\n", cfg.out_path)
+    _emit(_csv([fields]) if ns.output == "csv" else json.dumps(fields) + "\n", ns.out_path)
     return EXIT_OK
 
 
-def _report_rows_function(cfg: RunConfig) -> list[dict]:
+def _report_rows_function(ns: argparse.Namespace) -> list[dict]:
     f = fib_real_fn()
-    a, b, n = cfg.range_
+    a, b, n = ns.range_
     rows = []
     for i in range(n):
         x = a + (b - a) * i / (n - 1)
@@ -159,16 +148,16 @@ def _report_rows_function(cfg: RunConfig) -> list[dict]:
     return rows
 
 
-def _report_rows_representer(cfg: RunConfig) -> list[dict]:
-    g = from_spec(cfg.representer_spec)
-    a, b, n = cfg.range_
+def _report_rows_representer(ns: argparse.Namespace) -> list[dict]:
+    g = from_spec(ns.representer_spec)
+    a, b, n = ns.range_
     step = (b - a) / (n - 1)
     # one extra sample either side so every row gets a centered stencil
     samples: list[float | None] = []
     for i in range(-1, n + 1):
         x = a + step * i
         try:
-            v = bm.extend(g, x, tol=cfg.tol, max_n=cfg.max_n)
+            v = bm.extend(g, x, tol=ns.tol, max_n=ns.max_n)
             samples.append(v if math.isfinite(v) else None)
         except LogconvexError:
             samples.append(None)
@@ -185,81 +174,56 @@ def _report_rows_representer(cfg: RunConfig) -> list[dict]:
     return rows
 
 
-def cmd_report(cfg: RunConfig) -> int:
-    if (cfg.representer_spec is None) == (cfg.function is None):
-        print("error: report needs exactly one of --representer or --function", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_report(ns: argparse.Namespace) -> int:
+    if (ns.representer_spec is None) == (ns.function is None):
+        return _fail("report needs exactly one of --representer or --function")
     try:
-        rows = _report_rows_function(cfg) if cfg.function else _report_rows_representer(cfg)
-    except (LogconvexError, ValueError) as exc:  # rows catch their own evaluation errors
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    columns = ("x", "f", "log_f", "d2_log", "q_det")
-    if cfg.output == "json":
-        _emit(json.dumps(rows) + "\n", cfg.out_path)
-    else:
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_NA if row[c] is None else _fmt(row[c]) for c in columns))
-        _emit("\n".join(lines) + "\n", cfg.out_path)
-    incomplete = any(row[c] is None for row in rows for c in columns)
+        rows = _report_rows_function(ns) if ns.function else _report_rows_representer(ns)
+    except (LogconvexError, ValueError, RecursionError) as exc:  # rows catch their own evaluation errors
+        return _fail(exc)
+    _emit(json.dumps(rows) + "\n" if ns.output == "json" else _csv(rows), ns.out_path)
+    incomplete = any(v is None for row in rows for v in row.values())
     return EXIT_PARTIAL if incomplete else EXIT_OK
 
 
-def cmd_checks(cfg: RunConfig) -> int:
-    results = run_checks(only=cfg.only, tol=cfg.tol, seed=cfg.seed)
-    _emit(json.dumps([r.to_dict() for r in results], indent=2) + "\n", cfg.out_path)
+def cmd_checks(ns: argparse.Namespace) -> int:
+    results = run_checks(only=ns.only, tol=ns.tol, seed=ns.seed)
+    _emit(json.dumps([r.to_dict() for r in results], indent=2) + "\n", ns.out_path)
     if not results:
-        print(f"error: no check matches --only {cfg.only!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(f"no check matches --only {ns.only!r}")
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILURE
 
 
-def _to_config(ns: argparse.Namespace) -> RunConfig:
-    range_ = None
-    if getattr(ns, "range_", None) is not None:
-        a, b, n = ns.range_
-        range_ = (float(a), float(b), int(n))
-        if not (math.isfinite(range_[0]) and math.isfinite(range_[1])):
+def _check(ns: argparse.Namespace) -> None:
+    """Raise ValueError for arguments argparse accepts but the commands cannot use.
+
+    Converts ``--range`` to (a, b, n).
+    """
+    if ns.command == "report":
+        a, b, n = float(ns.range_[0]), float(ns.range_[1]), int(ns.range_[2])
+        if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError("range endpoints must be finite")
-        if range_[2] < 2:
+        if n < 2:
             raise ValueError("range needs n >= 2")
-        if not range_[0] < range_[1]:
+        if not a < b:
             raise ValueError("range needs a < b")
-    x = getattr(ns, "x", None)
-    if x is not None and not math.isfinite(x):
+        ns.range_ = (a, b, n)
+    if ns.command == "eval" and not math.isfinite(ns.x):
         raise ValueError("--x must be finite")
-    tol = getattr(ns, "tol", 1e-8)
-    if tol is not None and not tol > 0.0:
+    if ns.tol is not None and not ns.tol > 0.0:
         raise ValueError("tol must be positive")
-    return RunConfig(
-        command=ns.command,
-        representer_spec=getattr(ns, "representer_spec", None),
-        function=getattr(ns, "function", None),
-        x=getattr(ns, "x", None),
-        range_=range_,
-        tol=tol,
-        max_n=getattr(ns, "max_n", 2 ** 20),
-        output=getattr(ns, "output", ""),
-        out_path=getattr(ns, "out_path", None),
-        seed=getattr(ns, "seed", 0),
-        only=getattr(ns, "only", None),
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     try:
-        cfg = _to_config(ns)
+        _check(ns)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if cfg.command == "eval":
-        return cmd_eval(cfg)
-    if cfg.command == "report":
-        return cmd_report(cfg)
-    return cmd_checks(cfg)
+        return _fail(exc)
+    command = {"eval": cmd_eval, "report": cmd_report, "checks": cmd_checks}[ns.command]
+    # an overflow surfaces as a non-finite value, not as a numpy warning on stderr
+    with np.errstate(over="ignore"):
+        return command(ns)
 
 
 if __name__ == "__main__":

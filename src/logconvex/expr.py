@@ -380,7 +380,8 @@ def simplify(node: Expr) -> Expr:
 
     A node whose operands are all constants folds to exactly the value
     ``evaluate`` gives. If that raises DomainError or is not finite, the
-    node stays as it is, so evaluation reports the failure.
+    node stays as it is and no identity drops it, so evaluation reports the
+    failure.
     """
     if isinstance(node, Unary):
         u = simplify(node.arg)
@@ -406,21 +407,21 @@ def simplify(node: Expr) -> Expr:
             if _is_zero(a):
                 return simplify(Unary("neg", b))
         elif op == "*":
-            if _is_zero(a) or _is_zero(b):
+            if (_is_zero(a) and _droppable(b)) or (_is_zero(b) and _droppable(a)):
                 return Const(0.0)
             if _is_one(a):
                 return b
             if _is_one(b):
                 return a
         elif op == "/":
-            if _is_zero(a):
+            if _is_zero(a) and _droppable(b):
                 return Const(0.0)
             if _is_one(b):
                 return a
         elif op == "^":
             if _is_one(b):
                 return a
-            if _is_zero(b):
+            if _is_zero(b) and _droppable(a):
                 return Const(1.0)
         return Binary(op, a, b)
     return node
@@ -434,6 +435,22 @@ def _folded(node: Expr) -> Expr:
     except DomainError:
         return node
     return Const(v) if math.isfinite(v) else node
+
+
+def _droppable(node: Expr) -> bool:
+    """Whether an identity may drop the simplified ``node``.
+
+    Not if it holds an operator node whose operands are all constants: simplify
+    left that node unfolded because evaluating it raised or was not finite, and
+    dropping it would hide the failure.
+    """
+    if isinstance(node, Unary):
+        operands = (node.arg,)
+    elif isinstance(node, Binary):
+        operands = (node.lhs, node.rhs)
+    else:
+        return True
+    return not all(isinstance(u, Const) for u in operands) and all(map(_droppable, operands))
 
 
 def _is_zero(node: Expr) -> bool:

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -11,8 +12,13 @@ from logconvex.cli import main
 
 SQRT_PI = math.sqrt(math.pi)
 
-#: specs with a constant subexpression that cannot be evaluated
-UNEVALUABLE_CONSTANTS = ["x + 0^-1", "x + exp(1000)", "x + 0/0"]
+#: specs with a constant subexpression that cannot be evaluated, also where an
+#: identity such as 0*b would drop it, and specs nested too deeply to parse
+CONFIG_ERROR_SPECS = [
+    "x + 0^-1", "x + exp(1000)", "x + 0/0", "x + 0*(0/0)", "(0/0)^0*x",
+    pytest.param("+".join(["x"] * 3000), id="3000-term sum"),
+    pytest.param("(" * 400 + "x" + ")" * 400, id="400 nested parentheses"),
+]
 
 
 def run_cli(capsys, *argv):
@@ -51,12 +57,20 @@ class TestEval:
         assert out == ""
         assert "not positive" in err
 
-    @pytest.mark.parametrize("spec", UNEVALUABLE_CONSTANTS)
+    @pytest.mark.parametrize("spec", CONFIG_ERROR_SPECS)
     def test_unevaluable_constant_exits_2(self, capsys, spec):
         code, out, err = run_cli(capsys, "eval", "--representer", spec, "--x", "0.5")
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_overflow_prints_no_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "eval", "--representer", "x + exp(1000)", "--x", "0.5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_seed_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -182,7 +196,7 @@ class TestReport:
         assert out == ""
         assert "not positive" in err
 
-    @pytest.mark.parametrize("spec", UNEVALUABLE_CONSTANTS)
+    @pytest.mark.parametrize("spec", CONFIG_ERROR_SPECS)
     def test_unevaluable_constant_exits_2(self, capsys, spec):
         code, out, err = run_cli(capsys, "report", "--representer", spec, "--range", "1", "2", "3")
         assert code == 2

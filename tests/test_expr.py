@@ -180,7 +180,8 @@ class TestConstantFolding:
             assert folded == ex.Const(float(ex.evaluate(ex.parse(src), 0.0)))
             assert type(folded.value) is float
 
-    @pytest.mark.parametrize("src", ["0/0", "0^-1", "exp(1000)", "log(-1)", "(-8)^(1/3)"])
+    @pytest.mark.parametrize("src", ["0/0", "0^-1", "exp(1000)", "log(-1)", "(-8)^(1/3)",
+                                     "0*(0/0)", "(0/0)^0"])
     def test_unevaluable_constants_stay_unfolded(self, src):
         tree = ex.simplify(ex.parse(src))
         assert not isinstance(tree, ex.Const)
