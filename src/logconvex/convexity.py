@@ -205,7 +205,13 @@ def scan_convexity(f: RealFunction, a: float, b: float, n: int, h: float | None 
     xs = np.linspace(a, b, n)
     q_vals: list[float | None] = []
     d2_vals: list[float | None] = []
+    exact = f.d1 is not None and f.d2 is not None
     for x in xs:
+        if exact:
+            q, d2 = _exact_point(f, float(x))
+            q_vals.append(q)
+            d2_vals.append(d2)
+            continue
         try:
             q_vals.append(q_determinant(f, float(x), h))
         except EVALUATION_ERRORS:
@@ -215,3 +221,24 @@ def scan_convexity(f: RealFunction, a: float, b: float, n: int, h: float | None 
         except EVALUATION_ERRORS:
             d2_vals.append(None)
     return build_report(xs, q_vals, d2_vals)
+
+
+def _exact_point(f: RealFunction, x: float) -> tuple[float | None, float | None]:
+    """``q_determinant`` and ``d2_log`` at x (None where they raise), from one call each of f, d1 and d2."""
+    try:
+        fv = f(x)
+        tiny = abs(fv) < 1e-300
+        if tiny and fv <= 0.0:
+            return None, None  # neither value is defined, so the derivatives are not needed
+        f1 = float(f.d1(x))
+        f2 = float(f.d2(x))
+    except EVALUATION_ERRORS:
+        return None, None
+    q = None if tiny else fv * f2 - f1 * f1
+    d2 = None
+    if fv > 0.0:
+        try:
+            d2 = (f2 * fv - f1 * f1) / (fv * fv)
+        except EVALUATION_ERRORS:  # ZeroDivisionError where f*f underflows
+            pass
+    return q, d2

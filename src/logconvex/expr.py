@@ -1,4 +1,4 @@
-"""Expression language for representers: parser, evaluator, symbolic derivatives.
+"""Expression language for representers: parser, evaluator, compiler, symbolic derivatives.
 
 Grammar (EBNF, '^' right-associative, unary minus binds tighter than binary):
 
@@ -16,10 +16,13 @@ tokens that would have been accepted there.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -76,41 +79,63 @@ class Binary(Expr):
 
 # --------------------------------------------------------------------------
 # Operators, each defined once: the parser accepts the unary names, _eval
-# applies the functions (with their real-domain guards), differentiate the
-# derivative rules, and simplify folds constants through _eval.
+# and compile_expr apply the functions (with their real-domain guards),
+# differentiate the derivative rules, and simplify folds constants through
+# _eval.
 # --------------------------------------------------------------------------
 
+# Each guard takes a scalar branch for float operands: the same checks and the
+# same numpy call as the array branch, without its np.asarray/np.any cost.
+
 def _log(u):
-    if np.any(np.asarray(u) <= 0.0):
+    if (u <= 0.0) if isinstance(u, float) else np.any(np.asarray(u) <= 0.0):
         raise DomainError("log requires a positive argument")
     return np.log(u)
 
 
 def _sqrt(u):
-    if np.any(np.asarray(u) < 0.0):
+    if (u < 0.0) if isinstance(u, float) else np.any(np.asarray(u) < 0.0):
         raise DomainError("sqrt requires a non-negative argument")
     return np.sqrt(u)
 
 
 def _div(a, b):
-    if np.any(np.asarray(b) == 0.0):
+    if (b == 0.0) if isinstance(b, float) else np.any(np.asarray(b) == 0.0):
         raise DomainError("division by zero")
     return a / b
 
 
 def _pow(a, b):
+    if isinstance(a, float) and isinstance(b, float):
+        return _pow_scalar(a, b)
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
     if np.any((a_arr < 0.0) & (b_arr != np.floor(b_arr))):
-        raise DomainError("x^c with non-integer c needs x > 0 (real branch)")
+        raise DomainError(_POW_BRANCH)
     if np.any((a_arr == 0.0) & (b_arr < 0.0)):
-        raise DomainError("0^c undefined for negative c")
+        raise DomainError(_POW_ZERO)
     with np.errstate(invalid="ignore"):
         out = np.power(a, b)
     if np.any(np.isnan(np.asarray(out))) and np.all(np.isfinite(a_arr)) and np.all(np.isfinite(b_arr)):
         raise DomainError("power evaluation left the real branch")
     return out
 
+
+def _pow_scalar(a: float, b: float):
+    # b != floor(b) as np.floor sees it: false for +-inf, true for nan
+    # (math.floor raises on both)
+    if a < 0.0 and not (b.is_integer() or math.isinf(b)):
+        raise DomainError(_POW_BRANCH)
+    if a == 0.0 and b < 0.0:
+        raise DomainError(_POW_ZERO)
+    # Past the two checks a negative base has an integer or infinite exponent,
+    # so the power never signals invalid and is NaN only for a NaN operand: the
+    # array branch's errstate and NaN check have nothing to do here.
+    return np.power(a, b)
+
+
+_POW_BRANCH = "x^c with non-integer c needs x > 0 (real branch)"
+_POW_ZERO = "0^c undefined for negative c"
 
 _UNARY = {"neg": operator.neg, "exp": np.exp, "log": _log, "sin": np.sin, "cos": np.cos, "sqrt": _sqrt}
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "^": _pow}
@@ -316,10 +341,13 @@ def evaluate(node: Expr, x):
     Raises DomainError for log/sqrt outside their real domains, for division
     by zero and for ``u^v`` with negative base and non-integer exponent.
     """
-    arr = isinstance(x, np.ndarray)
-    v = _eval(node, x)
-    if arr and np.ndim(v) == 0:
-        v = np.full(np.shape(x), float(v))
+    return _shaped(_eval(node, x), x)
+
+
+def _shaped(v, x):
+    """``v``, broadcast to the shape of ``x`` when ``x`` is an array and ``v`` is not."""
+    if isinstance(x, np.ndarray) and np.ndim(v) == 0:
+        return np.full(np.shape(x), float(v))
     return v
 
 
@@ -335,6 +363,86 @@ def _eval(node: Expr, x):
     if isinstance(node, Binary):
         return _BINARY[node.op](_eval(node.lhs, x), _eval(node.rhs, x))
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def compile_expr(node: Expr) -> Callable:
+    """``node`` as a function of x returning exactly what ``evaluate(node, x)`` returns.
+
+    The body is straight-line code with one line per distinct subtree. Each
+    line calls the operator function the tree walk calls, in the tree walk's
+    depth-first, left-to-right order, so every value has the same bits and the
+    first guard to raise is the same one. Operator functions and constants are
+    closure variables, so the source depends only on the tree's shape and
+    trees of one shape share one compiled code object.
+
+    Raises UnboundParameter for a tree with a free parameter, as
+    ``differentiate`` does.
+    """
+    bound: list = []  # closure values k0, k1, ...: operator functions and constants
+    steps: list[tuple] = []  # (function, operands); an operand is "x", "k<i>" or a step index
+    names: dict = {}  # hash-consing: constant bits, operator or step -> its name or index
+
+    def closure_var(key, value) -> str:
+        name = names.get(key)
+        if name is None:
+            name = names[key] = f"k{len(bound)}"
+            bound.append(value)
+        return name
+
+    def visit(node: Expr):
+        if isinstance(node, Binary):
+            step = (closure_var(node.op, _BINARY[node.op]), visit(node.lhs), visit(node.rhs))
+        elif isinstance(node, Unary):
+            step = (closure_var(node.op, _UNARY[node.op]), visit(node.arg))
+        elif isinstance(node, Var):
+            return "x"
+        elif isinstance(node, Const):
+            v = node.value
+            # keyed by bits: Const(0.0) == Const(-0.0), but their values differ
+            return closure_var((type(v), v.hex() if isinstance(v, float) else v), v)
+        elif isinstance(node, Param):
+            raise UnboundParameter({node.name})
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        index = names.get(step)
+        if index is None:
+            index = names[step] = len(steps)
+            steps.append(step)
+        return index
+
+    result = visit(node)
+    return _code_factory(tuple(steps), result, len(bound))(*bound)
+
+
+@functools.lru_cache(maxsize=1024)
+def _code_factory(steps: tuple, result, n_bound: int) -> Callable:
+    """A function of the closure values k0, k1, ... returning ``def f(x)``; cached by shape."""
+    params = ", ".join(f"k{i}" for i in range(n_bound))
+    source = f"def make({params}):\n    def f(x):\n{_straight_line(steps, result)}    return f\n"
+    namespace = {"shaped": _shaped}
+    exec(compile(source, "<expr>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _straight_line(steps: tuple, result) -> str:
+    """The body of ``f``; a value's variable is reused once its last reader has run."""
+    last_read = {result: len(steps)}
+    for i, (_, *operands) in enumerate(steps):
+        last_read.update((a, i) for a in operands if isinstance(a, int))
+    slot: dict[int, str] = {}
+    free: list[str] = []
+    fresh = (f"v{j}" for j in itertools.count())
+
+    def name(a) -> str:
+        return slot[a] if isinstance(a, int) else a
+
+    lines = []
+    for i, (fn, *operands) in enumerate(steps):
+        call = f"{fn}({', '.join(map(name, operands))})"
+        free.extend(slot[a] for a in sorted({a for a in operands if isinstance(a, int)}) if last_read[a] == i)
+        slot[i] = free.pop() if free else next(fresh)
+        lines.append(f"        {slot[i]} = {call}\n")
+    return "".join(lines) + f"        return shaped({name(result)}, x)\n"
 
 
 # --------------------------------------------------------------------------

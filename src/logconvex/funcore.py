@@ -54,10 +54,10 @@ class RealFunction:
 
     def __call__(self, x: float) -> float:
         if not self.contains(x):
-            raise DomainError(f"{self.name or 'function'}: x={x!r} outside open domain {self.domain}")
+            raise DomainError(f"{self.name or 'function'}: x={float(x)!r} outside open domain {self.domain}")
         v = float(self.fn(x))
         if not math.isfinite(v):
-            raise NonFiniteError(f"{self.name or 'function'}: non-finite value {v!r} at x={x!r}", x=x, value=v)
+            raise NonFiniteError(f"{self.name or 'function'}: non-finite value {v!r} at x={float(x)!r}", x=x, value=v)
         return v
 
     def values(self, xs) -> np.ndarray:
@@ -66,7 +66,7 @@ class RealFunction:
         a, b = self.domain
         if xs.size and (xs.min() <= a or xs.max() >= b):
             bad = xs[(xs <= a) | (xs >= b)][0]
-            raise DomainError(f"{self.name or 'function'}: x={bad!r} outside open domain {self.domain}")
+            raise DomainError(f"{self.name or 'function'}: x={float(bad)!r} outside open domain {self.domain}")
         try:
             out = np.asarray(self.fn(xs), dtype=float)
             if out.shape != xs.shape:
@@ -77,7 +77,7 @@ class RealFunction:
         if not np.all(np.isfinite(out)):
             i = int(np.flatnonzero(~np.isfinite(out))[0])
             raise NonFiniteError(
-                f"{self.name or 'function'}: non-finite value at x={xs[i]!r}",
+                f"{self.name or 'function'}: non-finite value at x={float(xs[i])!r}",
                 x=float(xs[i]),
                 value=float(out[i]),
             )

@@ -78,13 +78,13 @@ def _spot_grid(a: float, b: float, n: int = 64) -> np.ndarray:
 
 def function_from_ast(tree: ex.Expr, domain: tuple[float, float] = (-_INF, _INF),
                       name: str = "") -> RealFunction:
-    """Wrap an expression tree as a RealFunction with symbolic d1 and d2."""
+    """Wrap an expression tree as a RealFunction with symbolic d1 and d2, each compiled once."""
     d1_tree = tree.diff()
     d2_tree = d1_tree.diff()
     return RealFunction(
-        fn=lambda x, t=tree: ex.evaluate(t, x),
-        d1=lambda x, t=d1_tree: ex.evaluate(t, x),
-        d2=lambda x, t=d2_tree: ex.evaluate(t, x),
+        fn=ex.compile_expr(tree),
+        d1=ex.compile_expr(d1_tree),
+        d2=ex.compile_expr(d2_tree),
         domain=domain,
         name=name or tree.pretty(),
         ast=tree,

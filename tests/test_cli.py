@@ -72,6 +72,12 @@ class TestEval:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_overflowing_representer_names_x_as_a_float(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--representer", "exp(x^0.9)", "--x", "0.5")
+        assert code == 4
+        assert out == ""
+        assert err == "error: exp(x^0.9): non-finite value at x=1473.0\n"
+
     def test_seed_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--representer", "identity", "--x", "1", "--seed", "3"])

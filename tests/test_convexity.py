@@ -14,13 +14,22 @@ from logconvex import (
     count_sign_changes,
     d2_log,
     diff_quotient,
+    function_from_source,
     iter_diff_quotient,
     q_determinant,
     sample_grid,
     scan_convexity,
     weak_convexity_test,
 )
-from logconvex.convexity import INCONCLUSIVE, LOG_CONVEX, NOT_LOG_CONVEX, build_report, stencil
+import logconvex.expr as ex
+from logconvex.convexity import (
+    EVALUATION_ERRORS,
+    INCONCLUSIVE,
+    LOG_CONVEX,
+    NOT_LOG_CONVEX,
+    build_report,
+    stencil,
+)
 from logconvex.funcore import Grid
 
 
@@ -304,3 +313,53 @@ class TestConvexityReport:
         assert len(report.sign_changes) == 1
         assert -1.0 < report.sign_changes[0] < 1.0
         assert report.sign_changes == sorted(report.sign_changes)
+
+
+def two_call_scan(f, a, b, n):
+    """scan_convexity as q_determinant and d2_log at each point, each evaluating f, f' and f''."""
+    xs = np.linspace(a, b, n)
+    q_vals, d2_vals = [], []
+    for x in xs:
+        for criterion, vals in ((q_determinant, q_vals), (d2_log, d2_vals)):
+            try:
+                vals.append(criterion(f, float(x)))
+            except EVALUATION_ERRORS:
+                vals.append(None)
+    return build_report(xs, q_vals, d2_vals)
+
+
+class TestOneEvaluationPerPoint:
+    @pytest.mark.parametrize("src,a,b", [
+        ("exp(-400*x^2)", -1.5, 1.5),  # f underflows to 0, and f*f underflows first
+        ("-exp(-800*x^2)", -1.5, 1.5),  # tiny and non-positive
+        ("x^3 - x", -1.5, 1.5),  # changes sign
+        ("log(x)", -1.0, 3.0),  # domain error below 0, non-positive below 1
+        ("x^2*exp(x)", -2.0, 2.0),
+    ])
+    def test_same_report_as_the_two_criteria(self, src, a, b):
+        f = function_from_source(src)
+        assert repr(scan_convexity(f, a, b, 61)) == repr(two_call_scan(f, a, b, 61))
+
+    def test_f_d1_d2_called_once_per_point(self):
+        calls = {"fn": 0, "d1": 0, "d2": 0}
+
+        def counted(name, fn):
+            def wrapped(x):
+                calls[name] += 1
+                return fn(x)
+            return wrapped
+
+        f = function_from_source("exp(x^2)")
+        counting = RealFunction(fn=counted("fn", f.fn), d1=counted("d1", f.d1), d2=counted("d2", f.d2))
+        report = scan_convexity(counting, -1.0, 1.0, 17)
+        assert calls == {"fn": 17, "d1": 17, "d2": 17}
+        assert repr(report) == repr(two_call_scan(f, -1.0, 1.0, 17))
+
+    def test_parsed_function_never_walks_its_tree(self, monkeypatch):
+        f = function_from_source("exp(-x^2/2)*sqrt(x^2+1)")
+        walks = []
+        walk = ex._eval
+        monkeypatch.setattr(ex, "_eval", lambda node, x: walks.append(node) or walk(node, x))
+        report = scan_convexity(f, 0.5, 2.5, 33)
+        assert report.verdict == NOT_LOG_CONVEX
+        assert walks == []

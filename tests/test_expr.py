@@ -1,5 +1,7 @@
-"""Expression grammar, symbolic differentiation, pretty-printing."""
+"""Expression grammar, symbolic differentiation, pretty-printing, compilation."""
 
+import copy
+import itertools
 import math
 
 import numpy as np
@@ -151,14 +153,16 @@ class TestOperatorTables:
 
 CONSTS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.0, 0.5]),
                    st.floats(-4.0, 4.0, allow_nan=False).map(lambda v: round(v, 3)))
-TREES = st.recursive(
-    st.one_of(CONSTS.map(ex.Const), st.just(ex.Var())),
-    lambda kids: st.one_of(
+
+
+def operator_nodes(kids):
+    return st.one_of(
         st.builds(ex.Unary, st.sampled_from(sorted(ex._UNARY)), kids),
         st.builds(ex.Binary, st.sampled_from(sorted(ex._BINARY)), kids, kids),
-    ),
-    max_leaves=8,
-)
+    )
+
+
+TREES = st.recursive(st.one_of(CONSTS.map(ex.Const), st.just(ex.Var())), operator_nodes, max_leaves=8)
 
 
 class TestConstantFolding:
@@ -191,3 +195,93 @@ class TestConstantFolding:
             except DomainError:
                 return
         assert not math.isfinite(v)
+
+
+EDGE_CONSTS = st.one_of(CONSTS, st.sampled_from([-0.0, math.inf, -math.inf]))
+COMPILE_TREES = st.recursive(
+    st.one_of(EDGE_CONSTS.map(ex.Const), st.just(ex.Var())),
+    lambda kids: st.one_of(
+        operator_nodes(kids),
+        # the same subtree twice, once as one object and once as equal copies
+        st.builds(lambda op, t: ex.Binary(op, t, t), st.sampled_from(sorted(ex._BINARY)), kids),
+        st.builds(lambda op, t: ex.Binary(op, t, copy.deepcopy(t)), st.sampled_from(sorted(ex._BINARY)), kids),
+        st.builds(lambda t, c: ex.Binary("^", t, ex.Const(c)), kids, st.sampled_from([math.inf, -math.inf])),
+    ),
+    max_leaves=10,
+)
+EDGE_XS = [-3.0, -2.0, -1.0, -0.5, -0.0, 0.0, 1e-300, 0.5, 1.0, 2.0, 3.0]
+
+
+def outcome(fn, x):
+    """What ``fn(x)`` gives, down to the type and bits, or the exception it raises."""
+    try:
+        v = fn(x)
+    except (DomainError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return type(v), np.asarray(v).dtype, np.shape(v), np.asarray(v).tobytes()
+
+
+def assert_compiled_matches_tree_walk(tree, xs):
+    compiled = ex.compile_expr(tree)
+    for errstate in ("ignore", "raise"):
+        with np.errstate(all=errstate):
+            for x in list(xs) + [np.array(xs)]:
+                assert outcome(compiled, x) == outcome(lambda t: ex.evaluate(tree, t), x), (tree, x, errstate)
+
+
+class TestCompiledExpressions:
+    @settings(max_examples=400, deadline=None)
+    @given(COMPILE_TREES, st.floats(-3.0, 3.0, allow_nan=False))
+    @example(ex.Binary("^", ex.Const(-2.0), ex.Const(math.inf)), 0.0)
+    @example(ex.Binary("^", ex.Const(-0.0), ex.Var()), -1.0)
+    @example(ex.Binary("+", ex.Const(0.0), ex.Const(-0.0)), 0.0)
+    def test_bit_identical_to_the_tree_walk(self, tree, x):
+        assert_compiled_matches_tree_walk(tree, [x] + EDGE_XS)
+
+    @pytest.mark.parametrize("src", ROUND_TRIP_CORPUS, ids=ROUND_TRIP_CORPUS)
+    def test_corpus_and_derivative_trees(self, src):
+        tree = ex.parse(src, PARAMS)
+        d1 = tree.diff()
+        for t in (tree, ex.simplify(tree), d1, d1.diff()):
+            assert_compiled_matches_tree_walk(t, [float(x) for x in np.linspace(-3.0, 8.0, 23)] + EDGE_XS)
+
+    def test_free_parameter_is_unbound(self):
+        with pytest.raises(UnboundParameter):
+            ex.compile_expr(ex.Binary("*", ex.Var(), ex.Param("a")))
+
+    def test_same_shape_shares_one_code_object(self):
+        f, g = (function_from_source("x^c", {"c": c}) for c in (1.3, 2.1))
+        assert f(2.0) == 2.0 ** 1.3 and g(2.0) == 2.0 ** 2.1
+        for name in ("fn", "d1", "d2"):
+            assert getattr(f, name).__code__ is getattr(g, name).__code__
+
+    def test_signed_zero_constants_stay_apart(self):
+        # Const(0.0) == Const(-0.0), but 1/(-0)^3 and 1/0^3 differ in sign
+        tree = ex.Binary("-", ex.Binary("^", ex.Const(-0.0), ex.Var()), ex.Binary("^", ex.Const(0.0), ex.Var()))
+        assert np.signbit(ex.compile_expr(tree)(3.0)) == np.signbit(ex.evaluate(tree, 3.0))
+        assert np.signbit(ex.compile_expr(ex.Binary("^", ex.Const(-0.0), ex.Var()))(3.0))
+
+
+class TestScalarGuards:
+    @pytest.mark.parametrize("fn,args", [(ex._log, (0.0,)), (ex._sqrt, (-1.0,)), (ex._div, (1.0, 0.0)),
+                                         (ex._pow, (0.0, -1.0)), (ex._pow, (-8.0, 1.0 / 3.0)),
+                                         (ex._pow, (-2.0, math.nan))],
+                             ids=["log(0)", "sqrt(-1)", "1/0", "0^-1", "(-8)^(1/3)", "(-2)^nan"])
+    def test_scalar_branch_raises_the_array_message(self, fn, args):
+        with pytest.raises(DomainError) as scalar:
+            fn(*args)
+        with pytest.raises(DomainError) as array:
+            fn(*(np.array([a]) for a in args))
+        assert str(scalar.value) == str(array.value)
+
+    def test_scalar_power_matches_the_array_branch_on_0d_arrays(self):
+        # 0-d, as the array branch saw float operands: numpy's 1-d loops may
+        # differ in sign bits, e.g. (-0)^0.5 with a 1-d exponent
+        edges = [-math.inf, -8.0, -2.0, -1.0, -0.5, -1 / 3, -0.0, 0.0, 1e-300, 1 / 3, 0.5, 1.0, 2.0, 2.5, 1e300,
+                 math.inf, math.nan]
+        for a, b in itertools.product(edges, repeat=2):
+            for errstate in ("ignore", "raise"):
+                with np.errstate(all=errstate):
+                    scalar = outcome(lambda t: ex._pow(*t), (a, b))
+                    array = outcome(lambda t: ex._pow(*t), (np.asarray(a), np.asarray(b)))
+                assert scalar == array, (a, b, errstate)

@@ -103,6 +103,20 @@ class TestRealFunction:
             f.values([0.5, 1.0, 1.5])
         assert err.value.x == 1.0
 
+    def test_messages_print_x_as_a_float(self):
+        f = RealFunction(fn=np.exp, domain=(0.0, math.inf), name="exp")
+        cases = [
+            (lambda: f(np.float64(-1.0)), DomainError, "exp: x=-1.0 outside open domain (0.0, inf)"),
+            (lambda: f.values([-1.0]), DomainError, "exp: x=-1.0 outside open domain (0.0, inf)"),
+            (lambda: f(np.float64(1000.0)), NonFiniteError, "exp: non-finite value inf at x=1000.0"),
+            (lambda: f.values([1.0, 1000.0]), NonFiniteError, "exp: non-finite value at x=1000.0"),
+        ]
+        with np.errstate(over="ignore"):
+            for call, error, message in cases:
+                with pytest.raises(error) as err:
+                    call()
+                assert str(err.value) == message
+
     def test_values_retries_pointwise_only_for_scalar_only_fns(self):
         calls = []
 
