@@ -51,6 +51,12 @@ SHRINK = 0.75
 #: Arguments per vector call of g in the product sums and the shift chain.
 CHUNK = 2 ** 14
 
+#: Gregory's coefficients G_1 .. G_{ORDER+1} (Marichal & Zenaidi): for h
+#: vanishing at infinity with Delta^ORDER h of one sign,
+#: sum_{j>=k} h(j) = int_k^inf h + sum_{j=1..ORDER} G_j Delta^{j-1} h(k), up to
+#: about |G_{ORDER+1} Delta^ORDER h(k)|.
+GREGORY = (1 / 2, -1 / 12, 1 / 24, -19 / 720, 3 / 160)
+
 @dataclass(frozen=True)
 class ProductState:
     """Truncation diagnostics for one evaluation of the product representation.
@@ -142,6 +148,16 @@ def _sandwich_logs(g: Representer, x: float, n: int, log_pn: float, g_n: float,
     return log_pn + (math.log(g_n) - math.log(g_xn)), x * math.log(g_n), abs(g_xn / g_n - 1.0)
 
 
+def _differences(vals: list[float]) -> tuple[list[float], bool]:
+    """[Delta^j v(0) for j = 0..ORDER] from vals = v(0 .. 2 ORDER), and whether
+    Delta^ORDER v keeps one sign over 0 .. ORDER."""
+    heads, d = [], vals
+    for _ in range(ORDER):
+        heads.append(d[0])
+        d = [b - a for a, b in zip(d, d[1:])]
+    return heads + [d[0]], min(d) >= 0.0 or max(d) <= 0.0
+
+
 def _gauss_tail(x: float, vals: list[float]) -> tuple[float, float, float, bool]:
     """The order-p terms from vals = g(n .. n+2p).
 
@@ -150,16 +166,13 @@ def _gauss_tail(x: float, vals: list[float]) -> tuple[float, float, float, bool]
     """
     if not min(vals) > 0.0:
         return 0.0, math.inf, math.nan, False
-    d = [math.log(v) for v in vals]
-    d1 = d[1] - d[0]
+    d, one_sign = _differences([math.log(v) for v in vals])
     tail, c, c_prev = 0.0, 1.0, 1.0  # c = C(x, j), c_prev = C(x-1, j)
     for j in range(1, ORDER + 1):
         c *= (x - j + 1) / j
         c_prev *= (x - j) / j
-        tail += c * d[0]
-        d = [b - a for a, b in zip(d, d[1:])]
-    one_sign = min(d) >= 0.0 or max(d) <= 0.0
-    return tail, abs(c_prev * d[0]), d1, one_sign
+        tail += c * d[j - 1]
+    return tail, abs(c_prev * d[ORDER]), d[1], one_sign
 
 
 def _base_state(g: Representer, x0: float, m: int, tol: float, max_n: int) -> ProductState:
@@ -314,48 +327,104 @@ def interpolation_targets(g: Representer, n_max: int) -> list[InterpolationTarge
     return out
 
 
-def logconvexity_series(g: Representer, x: float, tol: float = 1e-8) -> float:
-    """(log f)''(x) as the series sum_k [ (g'/g)^2 - g''/g ] at x + k.
+def _series_terms(g: Representer, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """h = (g'/g)^2 - g''/g = -(log g)'' and (log g)' = g'/g at ``us``; raises
+    ZeroValueError where g vanishes."""
+    gv = g.values(us)
+    if np.any(np.abs(gv) < POLE_TOL):
+        i = int(np.flatnonzero(np.abs(gv) < POLE_TOL)[0])
+        raise ZeroValueError(f"g vanishes at x+k={us[i]!r}")
+    d1 = g.d1_values(us)
+    d2 = g.d2_values(us)
+    return (d1 * d1) / (gv * gv) - d2 / gv, d1 / gv
 
-    Terms accumulate until the last term and the k^-2-model tail estimate
-    (last_term * k) both drop below tol relative to the partial sum. The sum
-    plus the tail estimate is returned. SeriesDivergence is raised when term
-    magnitudes fail to decrease over 64 consecutive indices; ToleranceNotMet
-    when the term budget runs out first.
+
+def _gregory_tail(g: Representer, x: float, k: int, h_ref: float,
+                  dlog_ref: float) -> tuple[float, float] | None:
+    """Gregory's sum_{j>=k} h(x+j) = (log g)'(x+k) + sum_{j=1..p} G_j Delta^{j-1} h(x+k),
+    with |G_{p+1} Delta^p h(x+k)| as its error, from h at x+k .. x+k+2p.
+
+    None where the formula's hypothesis is not seen: |h| and |(log g)'| at x+k
+    must be 0 or at most SHRINK times ``h_ref`` and ``dlog_ref``, their
+    magnitudes at an earlier point, and Delta^p h must keep one sign over
+    x+k .. x+k+p. The integral of h from x+k on is (log g)'(x+k) only where
+    (log g)' vanishes at infinity.
+    """
+    h, dlog = _series_terms(g, x + np.arange(k, k + 2 * ORDER + 1, dtype=float))
+    h0, dlog0 = abs(float(h[0])), float(dlog[0])
+    if not ((h0 == 0.0 or h0 <= SHRINK * h_ref)
+            and (dlog0 == 0.0 or abs(dlog0) <= SHRINK * dlog_ref)):
+        return None
+    d, one_sign = _differences(h.tolist())
+    if not one_sign:
+        return None
+    tail = dlog0
+    for j in range(ORDER):
+        tail += GREGORY[j] * d[j]
+    return tail, abs(GREGORY[ORDER] * d[ORDER])
+
+
+def logconvexity_series(g: Representer, x: float, tol: float = 1e-8) -> float:
+    """(log f)''(x) as the series sum_k h(x+k), h = (g'/g)^2 - g''/g = -(log g)''.
+
+    Terms are summed in chunks of 64, 128, ..., 65536. After each chunk, k
+    terms in, Gregory's formula gives the rest of the series in closed form
+    (``_gregory_tail``), where its hypothesis is seen: |h| and |(log g)'|
+    shrink from x + k/2 (or the chunk's first point, if later) to x + k, and
+    Delta^4 h keeps one sign. There the sum stops at the first chunk whose
+    error estimate |G_5 Delta^4 h(x+k)| is within the rounding allowance
+    (k+1) eps sum|h| of the k terms, and the sum plus the Gregory tail is
+    returned if estimate plus allowance meet ``tol`` relative to
+    max(1, |sum|); ToleranceNotMet is raised otherwise.
+
+    Where the hypothesis is not seen (the fibonacci representer, exp(x)),
+    the sum stops once the last term and the k^-2-model tail estimate
+    (last_term * k) both drop below tol relative to max(1, |sum|), and the
+    sum plus that estimate is returned. SeriesDivergence is raised when term
+    magnitudes fail to decrease over 64 consecutive indices, before any point
+    past the chunk is evaluated; ToleranceNotMet when the term budget runs
+    out first.
     """
     if not (x > 0.0):
         raise DomainError(f"series needs x > 0, got {x!r}")
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
-    total = 0.0
+    total = abs_total = 0.0
     k = 0
     chunk = 64
     prev_last_abs = None
     while k < SERIES_BUDGET:
         size = min(chunk, SERIES_BUDGET - k)
-        us = x + np.arange(k, k + size, dtype=float)
-        gv = g.values(us)
-        if np.any(np.abs(gv) < POLE_TOL):
-            i = int(np.flatnonzero(np.abs(gv) < POLE_TOL)[0])
-            raise ZeroValueError(f"g vanishes at x+k={us[i]!r}")
-        d1 = g.d1_values(us)
-        d2 = g.d2_values(us)
-        terms = (d1 * d1) / (gv * gv) - d2 / gv
+        terms, dlog = _series_terms(g, x + np.arange(k, k + size, dtype=float))
         total += float(np.sum(terms))
+        abs_terms = np.abs(terms)
+        abs_total += float(np.sum(abs_terms))
+        ref = max((k + size) // 2 - k, 0)  # x + k/2 after this chunk, if the chunk holds it
         k += size
         last = float(terms[-1])
         scale = max(1.0, abs(total))
         tail = last * (k - 1)
-        if abs(last) < tol * scale and abs(tail) < tol * scale:
-            return total + tail
-        abs_terms = np.abs(terms)
+        fits = abs(last) < tol * scale and abs(tail) < tol * scale
         # Chunks run 64, 128, ..., 65536 and the budget leaves a last chunk of
         # 64, so one chunk that does not decrease (up to float jitter in the
         # term arithmetic) and joins the previous one is 64 such terms already.
-        if (np.all(abs_terms[1:] >= abs_terms[:-1] * (1.0 - 1e-12))
-                and (prev_last_abs is None or abs_terms[0] >= prev_last_abs * (1.0 - 1e-12))):
+        if not fits and (np.all(abs_terms[1:] >= abs_terms[:-1] * (1.0 - 1e-12))
+                         and (prev_last_abs is None or abs_terms[0] >= prev_last_abs * (1.0 - 1e-12))):
             raise SeriesDivergence(
                 f"series terms non-decreasing over {size} consecutive k near k={k}")
+        gregory = _gregory_tail(g, x, k, float(abs_terms[ref]), abs(float(dlog[ref])))
+        if gregory is None:
+            if fits:
+                return total + tail
+        else:
+            tail, est = gregory
+            allowance = (k + 1) * EPS * abs_total
+            if est <= allowance:
+                if est + allowance <= tol * scale:
+                    return total + tail
+                raise ToleranceNotMet(
+                    f"series reached its rounding floor {est + allowance:.3e} at k={k}, "
+                    f"above tol={tol!r} relative to {scale!r}")
         prev_last_abs = float(abs_terms[-1])
         chunk = min(2 * chunk, 65536)
     raise ToleranceNotMet(f"series did not reach tol={tol!r} within {SERIES_BUDGET} terms")

@@ -106,6 +106,9 @@ def _div(a, b):
 
 
 def _pow(a, b):
+    # A zero power takes C99 pow's sign, -0.0 only for a negative base and an
+    # odd integer exponent, on every path: numpy gives (-0.0)^0.5 = sqrt(-0.0)
+    # = -0.0 for a 0-d or a scalar exponent, where its 1-d loop gives +0.0.
     if isinstance(a, float) and isinstance(b, float):
         return _pow_scalar(a, b)
     a_arr = np.asarray(a, dtype=float)
@@ -118,6 +121,11 @@ def _pow(a, b):
         out = np.power(a, b)
     if np.any(np.isnan(np.asarray(out))) and np.all(np.isfinite(a_arr)) and np.all(np.isfinite(b_arr)):
         raise DomainError("power evaluation left the real branch")
+    zero = out == 0.0
+    if np.any(zero):
+        with np.errstate(invalid="ignore"):  # an infinite exponent's remainder is nan: not odd
+            odd = np.mod(b_arr, 2.0) == 1.0
+        out = np.where(zero, np.copysign(0.0, np.where(odd, a_arr, 1.0)), out)[()]
     return out
 
 
@@ -131,7 +139,10 @@ def _pow_scalar(a: float, b: float):
     # Past the two checks a negative base has an integer or infinite exponent,
     # so the power never signals invalid and is NaN only for a NaN operand: the
     # array branch's errstate and NaN check have nothing to do here.
-    return np.power(a, b)
+    out = np.power(a, b)
+    if out == 0.0:
+        out = np.copysign(out, a if b % 2.0 == 1.0 else 1.0)
+    return out
 
 
 _POW_BRANCH = "x^c with non-integer c needs x > 0 (real branch)"

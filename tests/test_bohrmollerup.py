@@ -23,6 +23,7 @@ from logconvex import (
     extend,
     extended_state,
     fib_real,
+    from_spec,
     interpolation_targets,
     logconvexity_series,
     parse_representer,
@@ -357,8 +358,33 @@ class TestLogconvexitySeries:
 
     def test_divergence_on_nondecaying_terms(self):
         g = parse_representer("exp(x^2/500)")  # terms are the constant -1/250
-        with pytest.raises(SeriesDivergence):
+        with pytest.raises(SeriesDivergence, match="over 64 consecutive k near k=64$"):
             logconvexity_series(g, 0.5, tol=1e-8)
+
+    def test_identity_at_one_reaches_1e_12_in_few_terms(self, monkeypatch):
+        """The Gregory tail meets tol 1e-8, which the k^-2 model missed after 2^24 terms."""
+        summed = []
+        values = Representer.values
+        monkeypatch.setattr(Representer, "values", lambda g, xs: summed.append(len(xs)) or values(g, xs))
+        s = logconvexity_series(IDENTITY, 1.0, tol=1e-8)
+        assert abs(s - math.pi ** 2 / 6.0) <= 1e-12
+        assert sum(summed) <= 10 ** 4
+
+    @pytest.mark.parametrize("spec,xs", [("fibonacci", (0.5, 1.0, 2.5, 5.95)), ("const:5", (0.5, 2.0)),
+                                         ("exp(x)", (0.5, 2.0))])
+    def test_untrusted_tails_keep_the_first_chunk_rule(self, spec, xs):
+        """Where the Gregory tail's hypothesis fails ((log g)' of exp(x) stays 1; the
+        fibonacci terms oscillate), the k^-2 model still ends the series after its
+        first 64 terms, with the same bits: the sum plus 63 times the last term."""
+        g = from_spec(spec)
+        for x in xs:
+            us = x + np.arange(64, dtype=float)
+            gv, d1, d2 = g.values(us), g.d1_values(us), g.d2_values(us)
+            terms = (d1 * d1) / (gv * gv) - d2 / gv
+            want = float(np.sum(terms)) + float(terms[-1]) * 63
+            for tol in (1e-6, 1e-8):
+                got = logconvexity_series(g, x, tol)
+                assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want)), (spec, x)
 
     def test_matches_fd_of_constructed_interpolant(self):
         """Series equals (log f)'' of the product construction within 1e-3."""

@@ -1,5 +1,7 @@
 """CLI contract: exit codes, JSON fields, CSV shape, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -7,8 +9,11 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from logconvex.cli import main
+from test_expr import TREES
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -257,3 +262,58 @@ class TestDeterminism:
                "identity", "--x", "1", "--frobnicate"]
         proc = subprocess.run(cmd, capture_output=True, check=False)
         assert proc.returncode == 2
+
+
+#: builtin specs, also with malformed or out-of-range parameters
+BUILTIN_SPECS = ["identity", "fibonacci", "power:c=0.5", "power:c=-2", "power:c=inf", "power:c=nan",
+                 "power:c=", "const:2", "const:-1", "const:0", "const:inf", "const:nan", "const:x"]
+#: argument values: ordinary, signed zeros, non-finite, huge and tiny magnitudes, and non-numbers
+NUMBERS = st.one_of(
+    st.floats(-8.0, 8.0),
+    st.sampled_from(["inf", "-inf", "nan", "-0.0", "1e300", "-1e300", "5e-324", "1e-300", "x", ""]),
+).map(str)
+#: --x and --range endpoints: the functional-equation chain from x to (0, 1] takes
+#: one step per unit of |x|, so huge |x| is left to --tol and --max-n here
+POINTS = st.one_of(
+    st.floats(-40.0, 40.0),
+    st.sampled_from(["inf", "-inf", "nan", "-0.0", "-3", "0", "1", "1e-300", "x", ""]),
+).map(str)
+COUNTS = st.one_of(st.integers(-3, 12).map(str), st.sampled_from(["2.5", "nan", "1e3", "x"]))
+MAX_NS = st.one_of(st.integers(-5, 2 ** 22), st.sampled_from([10 ** 30, -10 ** 30])).map(str) \
+    | st.sampled_from(["nan", "1e3", "x"])
+CHECK_TAGS = st.sampled_from(["gamma", "factorial", "series", "divergence", "parser", "nosuchcheck"])
+
+
+@st.composite
+def cli_argv(draw):
+    spec = draw(st.one_of(st.sampled_from(BUILTIN_SPECS), TREES.map(lambda t: t.pretty())))
+    command = draw(st.sampled_from(["eval", "report", "checks"]))
+    if command == "checks":
+        argv = ["checks", "--only", draw(CHECK_TAGS)]
+        if draw(st.booleans()):
+            argv.append(f"--tol={draw(NUMBERS)}")
+        return argv
+    if command == "eval":
+        argv = ["eval", f"--representer={spec}", f"--x={draw(POINTS)}"]
+    else:
+        argv = ["report", f"--representer={spec}", "--range", draw(POINTS), draw(POINTS), draw(COUNTS)]
+    if draw(st.booleans()):
+        argv.append(f"--tol={draw(NUMBERS)}")
+    if draw(st.booleans()):
+        argv.append(f"--max-n={draw(MAX_NS)}")
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(cli_argv())
+    def test_every_input_maps_to_a_documented_exit_code(self, argv):
+        """No traceback, whatever the arguments; exit 1 (check failure) only from checks.
+        argparse ends a usage error with SystemExit(2), the config-error code."""
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        allowed = {0, 1, 2} if argv[0] == "checks" else {0, 2, 3, 4}
+        assert code in allowed, argv

@@ -285,3 +285,26 @@ class TestScalarGuards:
                     scalar = outcome(lambda t: ex._pow(*t), (a, b))
                     array = outcome(lambda t: ex._pow(*t), (np.asarray(a), np.asarray(b)))
                 assert scalar == array, (a, b, errstate)
+
+    def test_zero_powers_take_c99_signs_on_every_path(self):
+        # numpy's (-0)^0.5 is sqrt(-0) = -0 for a 0-d or scalar exponent and
+        # +0 in its 1-d loop; C99 pow (math.pow) gives +0
+        bases = [-0.0, 0.0, -1e-200, 1e-200, -math.inf, math.inf, -0.5, 0.5]
+        exps = [0.5, 1.0, 2.0, 3.0, 2.5, 1e-300, 401.0, 1e300, math.inf, -math.inf, -1.0, -2.0, -3.0]
+        checked = 0
+        for a, b in itertools.product(bases, exps):
+            try:
+                want = math.pow(a, b)
+            except (ValueError, OverflowError):
+                continue
+            if want != 0.0:
+                continue
+            with np.errstate(all="ignore"):
+                paths = [ex._pow(a, b), ex._pow(np.array([a, a]), b), ex._pow(np.array([a, a]), np.array([b, b]))]
+            for got in paths:
+                assert np.all(np.asarray(got) == 0.0), (a, b, got)
+                assert np.all(np.signbit(got) == np.signbit(want)), (a, b, got)
+            checked += 1
+        assert checked > 20
+        f = function_from_source("(-(x-1))^(x-0.5)")
+        assert not np.signbit(f(1.0)) and not np.any(np.signbit(f.values(np.array([1.0, 1.0]))))
