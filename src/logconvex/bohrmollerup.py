@@ -51,6 +51,10 @@ SHRINK = 0.75
 #: Arguments per vector call of g in the product sums and the shift chain.
 CHUNK = 2 ** 14
 
+#: Levels at which the product loop's blocks end. One call of g covers every
+#: argument of a block's levels; levels past the last end make their own calls.
+BLOCK_ENDS = (256, 4096, CHUNK)
+
 #: Gregory's coefficients G_1 .. G_{ORDER+1} (Marichal & Zenaidi): for h
 #: vanishing at infinity with Delta^ORDER h of one sign,
 #: sum_{j>=k} h(j) = int_k^inf h + sum_{j=1..ORDER} G_j Delta^{j-1} h(k), up to
@@ -148,6 +152,41 @@ def _sandwich_logs(g: Representer, x: float, n: int, log_pn: float, g_n: float,
     return log_pn + (math.log(g_n) - math.log(g_xn)), x * math.log(g_n), abs(g_xn / g_n - 1.0)
 
 
+def _block(g: Representer, x0: float, n: int, have: int, max_n: int):
+    """(end, block) for the levels from n up to ``end``, the last level of the
+    doubling n, min(2n, max_n), ... not past the first of BLOCK_ENDS >= n.
+
+    block = (have, g(k), log g(k), g(x0+k), log g(x0+k)) with k = have .. end+2p for
+    g(k), where 1.0 stands in for g(0) and log g(0) := 0, and k = have .. end for
+    g(x0+k): every argument of those levels, from one call of g. It is None, and
+    the levels make their own calls, past the last block end and where this call
+    meets any fault: an exception, a floating-point signal, or a value below
+    POLE_TOL. The call evaluates g past the level where the loop may stop, so
+    those levels' own calls raise what is theirs, and in their order.
+    """
+    bound = next((e for e in BLOCK_ENDS if e >= n), None)
+    if bound is None:
+        return max_n, None
+    end = n
+    while end < max_n and min(2 * end, max_n) <= bound:
+        end = min(2 * end, max_n)
+    ks = np.arange(have, end + 2 * ORDER + 1, dtype=float)
+    args = np.concatenate((ks, x0 + ks[:end + 1 - have]))
+    if have == 0:
+        args[0] = 1.0  # the g(0) := 1 factor: a stand-in argument inside g's domain
+    try:
+        with np.errstate(all="raise"):
+            vals = g.values(args)
+    except Exception:
+        return end, None
+    if not vals.min() >= POLE_TOL:
+        return end, None
+    logs = np.log(vals)
+    if have == 0:
+        logs[0] = 0.0
+    return end, (have, vals[:ks.size], logs[:ks.size], vals[ks.size:], logs[ks.size:])
+
+
 def _differences(vals: list[float]) -> tuple[list[float], bool]:
     """[Delta^j v(0) for j = 0..ORDER] from vals = v(0 .. 2 ORDER), and whether
     Delta^ORDER v keeps one sign over 0 .. ORDER."""
@@ -192,6 +231,13 @@ def _base_state(g: Representer, x0: float, m: int, tol: float, max_n: int) -> Pr
     |m|-step scaling. DivergenceError is raised when the ratio gap
     |g(x+n)/g(n) - 1| fails to decrease over three successive doublings, the
     signature of a representer violating lim g(n)/g(x+n) = 1.
+
+    Each level needs the log terms for k < n and g at n .. n+2p and x0+n. Up to
+    CHUNK, one call of g gives them for a block of levels (``_block``), and
+    each level sums its slice of the block's logs; every sum and value has the
+    bits of a level's own calls. Where the block's call meets a fault, and past
+    CHUNK, each level makes its own calls: ``_log_terms`` over [n/2, n) in
+    chunks of CHUNK, then g at the 2p+2 points.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
@@ -203,12 +249,21 @@ def _base_state(g: Representer, x0: float, m: int, tol: float, max_n: int) -> Pr
     prev_d1 = 0.0  # no level yet: only Delta log g(n) = 0 counts as shrinking
     stalled = 0
     best = (math.inf,)  # (bound, n, log_pn, log_value, rel_gap) of the tightest level
+    block_end, block = 0, None
     while True:
-        for lo in range(have, n, CHUNK):
-            log_pn += _log_terms(g, x0, lo, min(lo + CHUNK, n))
+        if n > block_end:
+            block_end, block = _block(g, x0, n, have, max_n)
+        if block is not None:
+            start, iv, ilog, xv, xlog = block  # arrays indexed by k - start
+            a, b = have - start, n - start
+            log_pn += float(np.sum(ilog[a:b] - xlog[a:b]))
+            vals = iv[b:b + 2 * ORDER + 1].tolist() + [float(xv[b])]
+        else:
+            for lo in range(have, n, CHUNK):
+                log_pn += _log_terms(g, x0, lo, min(lo + CHUNK, n))
+            # g at n .. n+2p for the order-p terms, then at x0 + n for the sandwich
+            vals = g.values(np.array([*range(n, n + 2 * ORDER + 1), x0 + n], dtype=float)).tolist()
         have = n
-        # g at n .. n+2p for the order-p terms, then at x0 + n for the sandwich
-        vals = g.values(np.array([*range(n, n + 2 * ORDER + 1), x0 + n], dtype=float)).tolist()
         log_pn1, log_gx, rel_gap = _sandwich_logs(g, x0, n, log_pn, vals[0], vals[-1])
         tail, bound, d1, one_sign = _gauss_tail(x0, vals[:-1])
         if one_sign and (d1 == 0.0 or abs(d1) <= SHRINK * abs(prev_d1)):
@@ -378,9 +433,9 @@ def logconvexity_series(g: Representer, x: float, tol: float = 1e-8) -> float:
     max(1, |sum|); ToleranceNotMet is raised otherwise.
 
     Where the hypothesis is not seen (the fibonacci representer, exp(x)),
-    the sum stops once the last term and the k^-2-model tail estimate
-    (last_term * k) both drop below tol relative to max(1, |sum|), and the
-    sum plus that estimate is returned. SeriesDivergence is raised when term
+    the sum stops once the last term and the k^-2-model tail
+    last_term * (x + k - 1) both drop below tol relative to max(1, |sum|),
+    and the sum plus last_term * (k - 1) is returned. SeriesDivergence is raised when term
     magnitudes fail to decrease over 64 consecutive indices, before any point
     past the chunk is evaluated; ToleranceNotMet when the term budget runs
     out first.
@@ -404,7 +459,8 @@ def logconvexity_series(g: Representer, x: float, tol: float = 1e-8) -> float:
         last = float(terms[-1])
         scale = max(1.0, abs(total))
         tail = last * (k - 1)
-        fits = abs(last) < tol * scale and abs(tail) < tol * scale
+        # the k^-2 model's tail of terms ~ (x+j)^-2 is about last * (x+k-1)
+        fits = abs(last) < tol * scale and abs(last * (x + k - 1)) < tol * scale
         # Chunks run 64, 128, ..., 65536 and the budget leaves a last chunk of
         # 64, so one chunk that does not decrease (up to float jitter in the
         # term arithmetic) and joins the previous one is 64 such terms already.

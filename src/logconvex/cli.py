@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -34,8 +35,17 @@ EXIT_DIVERGENCE = 3
 EXIT_PARTIAL = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative number in exponent notation (``--x -1.55e1``) as a value,
+    as argparse reads ``-15.5``, instead of as an unknown option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="logconvex",
         description="Log-convex interpolants of f(x+1) = g(x) f(x) and log-convexity reports.",
     )

@@ -109,8 +109,11 @@ def _pow(a, b):
     # A zero power takes C99 pow's sign, -0.0 only for a negative base and an
     # odd integer exponent, on every path: numpy gives (-0.0)^0.5 = sqrt(-0.0)
     # = -0.0 for a 0-d or a scalar exponent, where its 1-d loop gives +0.0.
-    if isinstance(a, float) and isinstance(b, float):
-        return _pow_scalar(a, b)
+    if isinstance(b, float):
+        if isinstance(a, float):
+            return _pow_scalar(a, b)
+        if type(a) is np.ndarray and a.dtype == np.float64 and a.ndim == 1:
+            return _pow_array(a, b)
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
     if np.any((a_arr < 0.0) & (b_arr != np.floor(b_arr))):
@@ -142,6 +145,21 @@ def _pow_scalar(a: float, b: float):
     out = np.power(a, b)
     if out == 0.0:
         out = np.copysign(out, a if b % 2.0 == 1.0 else 1.0)
+    return out
+
+
+def _pow_array(a: np.ndarray, b: float):
+    # The scalar branch's checks and argument, elementwise: the power never
+    # signals invalid and is NaN only for a NaN operand, so the general
+    # branch's errstate and NaN scans have nothing to do here.
+    if not (b.is_integer() or math.isinf(b)) and (a < 0.0).any():
+        raise DomainError(_POW_BRANCH)
+    if b < 0.0 and (a == 0.0).any():
+        raise DomainError(_POW_ZERO)
+    out = np.power(a, b)
+    zero = out == 0.0
+    if zero.any():
+        out[zero] = np.copysign(0.0, a[zero]) if b % 2.0 == 1.0 else 0.0
     return out
 
 

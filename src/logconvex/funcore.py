@@ -74,7 +74,7 @@ class RealFunction:
         except (TypeError, ValueError):
             # what a scalar-only fn raises for an array: evaluate point by point
             out = np.array([float(self.fn(float(t))) for t in xs])
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             i = int(np.flatnonzero(~np.isfinite(out))[0])
             raise NonFiniteError(
                 f"{self.name or 'function'}: non-finite value at x={float(xs[i])!r}",

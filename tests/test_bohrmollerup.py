@@ -15,6 +15,7 @@ from logconvex import (
     RealFunction,
     Representer,
     SeriesDivergence,
+    ToleranceNotMet,
     ZeroValueError,
     bilinear_a,
     builtin,
@@ -369,6 +370,28 @@ class TestLogconvexitySeries:
         s = logconvexity_series(IDENTITY, 1.0, tol=1e-8)
         assert abs(s - math.pi ** 2 / 6.0) <= 1e-12
         assert sum(summed) <= 10 ** 4
+
+    @pytest.mark.parametrize("spec,x,tol", [
+        ("identity", 1000.0, 1e-4), ("power:c=1.3", 1000.0, 1e-4), ("2*(2*x+1)/(x+2)", 1000.0, 1e-6),
+        ("identity", 1e4, 1e-6), ("x*(x+1)", 1e6, 1e-6),
+    ])
+    def test_large_x_meets_tol(self, spec, x, tol):
+        """Far past the first chunks the terms (x+k)^-2 are below tol while their tail,
+        about last * (x+k), is not: the k^-2 model's stop must test that tail, or it
+        stops at k = 64 with most of the sum missing."""
+        mp = pytest.importorskip("mpmath")
+        t = mp.mpf(x)
+        want = {"identity": mp.psi(1, t), "power:c=1.3": 1.3 * mp.psi(1, t),
+                "2*(2*x+1)/(x+2)": mp.psi(1, t + 0.5) - mp.psi(1, t + 2), "x*(x+1)": mp.psi(1, t) + mp.psi(1, t + 1)}
+        got = logconvexity_series(from_spec(spec), x, tol)
+        assert float(abs(got - want[spec])) <= tol * max(1.0, float(abs(want[spec]))), (spec, x, got)
+
+    @pytest.mark.parametrize("x", [1e5, 1e6])
+    def test_large_x_below_its_reachable_tol_raises(self, x):
+        """psi1(x) ~ 1/x; at tol 1e-8 the tail last * (x+k) stays above tol within the
+        budget, and Delta^4 h is rounding noise, so no stop rule is met."""
+        with pytest.raises(ToleranceNotMet):
+            logconvexity_series(IDENTITY, x, tol=1e-8)
 
     @pytest.mark.parametrize("spec,xs", [("fibonacci", (0.5, 1.0, 2.5, 5.95)), ("const:5", (0.5, 2.0)),
                                          ("exp(x)", (0.5, 2.0))])

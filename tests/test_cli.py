@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import logconvex
 from logconvex.cli import main
 from test_expr import TREES
 
@@ -24,6 +26,11 @@ CONFIG_ERROR_SPECS = [
     pytest.param("+".join(["x"] * 3000), id="3000-term sum"),
     pytest.param("(" * 400 + "x" + ")" * 400, id="400 nested parentheses"),
 ]
+
+
+#: the environment of CLI processes: they import the package these tests import
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [os.path.dirname(os.path.dirname(logconvex.__file__)), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +100,12 @@ class TestEval:
                                  "--x", "0.5", "--max-n", "2")
         assert code == 2
         assert "max_n" in err
+
+    def test_negative_x_in_exponent_notation_is_a_value(self, capsys):
+        """argparse reads -1.55e1 after --x as the value, as it reads --x=-1.55e1."""
+        want = run_cli(capsys, "eval", "--representer", "identity", "--x=-1.55e1")
+        assert want[0] == 0
+        assert run_cli(capsys, "eval", "--representer", "identity", "--x", "-1.55e1") == want
 
     def test_pole_exits_4(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--representer", "identity", "--x", "0")
@@ -214,6 +227,11 @@ class TestReport:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_negative_range_in_exponent_notation_is_a_value(self, capsys):
+        want = run_cli(capsys, "report", "--representer", "identity", "--range", "-2.5", "-0.5", "5")
+        assert want[0] == 4  # rows at the poles are NA
+        assert run_cli(capsys, "report", "--representer", "identity", "--range", "-2.5e0", "-5e-1", "5") == want
+
     def test_range_validation(self, capsys):
         code, _, err = run_cli(capsys, "report", "--function", "fib",
                                "--range", "2", "1", "5")
@@ -251,8 +269,8 @@ class TestDeterminism:
     ], ids=["eval", "report", "checks"])
     def test_byte_identical_output(self, argv):
         cmd = [sys.executable, "-m", "logconvex.cli"] + argv
-        first = subprocess.run(cmd, capture_output=True, check=False)
-        second = subprocess.run(cmd, capture_output=True, check=False)
+        first = subprocess.run(cmd, capture_output=True, check=False, env=CLI_ENV)
+        second = subprocess.run(cmd, capture_output=True, check=False, env=CLI_ENV)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
         assert first.stdout  # non-empty
@@ -260,7 +278,7 @@ class TestDeterminism:
     def test_unknown_flag_rejected(self):
         cmd = [sys.executable, "-m", "logconvex.cli", "eval", "--representer",
                "identity", "--x", "1", "--frobnicate"]
-        proc = subprocess.run(cmd, capture_output=True, check=False)
+        proc = subprocess.run(cmd, capture_output=True, check=False, env=CLI_ENV)
         assert proc.returncode == 2
 
 
@@ -278,6 +296,10 @@ POINTS = st.one_of(
     st.floats(-40.0, 40.0),
     st.sampled_from(["inf", "-inf", "nan", "-0.0", "-3", "0", "1", "1e-300", "x", ""]),
 ).map(str)
+#: --x values that argparse must read as values also as separate tokens: negative
+#: numbers in exponent notation
+NEGATIVE_EXPONENTS = st.builds(lambda v, fmt: fmt.format(v), st.floats(-40.0, -1e-3),
+                               st.sampled_from(["{:e}", "{:.2E}", "{:.0e}", "{:.3e}"]))
 COUNTS = st.one_of(st.integers(-3, 12).map(str), st.sampled_from(["2.5", "nan", "1e3", "x"]))
 MAX_NS = st.one_of(st.integers(-5, 2 ** 22), st.sampled_from([10 ** 30, -10 ** 30])).map(str) \
     | st.sampled_from(["nan", "1e3", "x"])
@@ -294,7 +316,10 @@ def cli_argv(draw):
             argv.append(f"--tol={draw(NUMBERS)}")
         return argv
     if command == "eval":
-        argv = ["eval", f"--representer={spec}", f"--x={draw(POINTS)}"]
+        if draw(st.booleans()):
+            argv = ["eval", f"--representer={spec}", "--x", draw(NEGATIVE_EXPONENTS)]
+        else:
+            argv = ["eval", f"--representer={spec}", f"--x={draw(POINTS)}"]
     else:
         argv = ["report", f"--representer={spec}", "--range", draw(POINTS), draw(POINTS), draw(COUNTS)]
     if draw(st.booleans()):
@@ -310,10 +335,12 @@ class TestFuzz:
     def test_every_input_maps_to_a_documented_exit_code(self, argv):
         """No traceback, whatever the arguments; exit 1 (check failure) only from checks.
         argparse ends a usage error with SystemExit(2), the config-error code."""
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
         allowed = {0, 1, 2} if argv[0] == "checks" else {0, 2, 3, 4}
         assert code in allowed, argv
+        assert "argument --x: expected one argument" not in err.getvalue(), argv

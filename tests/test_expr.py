@@ -1,8 +1,10 @@
 """Expression grammar, symbolic differentiation, pretty-printing, compilation."""
 
+import contextlib
 import copy
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +287,28 @@ class TestScalarGuards:
                     scalar = outcome(lambda t: ex._pow(*t), (a, b))
                     array = outcome(lambda t: ex._pow(*t), (np.asarray(a), np.asarray(b)))
                 assert scalar == array, (a, b, errstate)
+
+    def test_array_power_with_a_float_exponent_matches_the_general_branch(self):
+        """A 1-d float64 base with a float exponent skips the general branch's errstate
+        and NaN scans; it gives the same bits (signed zeros included), exceptions and
+        warnings, for whole arrays and element by element, under numpy's default
+        errstate and with every floating-point signal raising."""
+        bases = [-math.inf, -2.0, -1.0, -0.5, -0.0, 0.0, 1e-300, 0.5, 1.0, 2.0, 1e300, math.inf, math.nan]
+        exps = [-math.inf, -1e300, -3.0, -2.0, -1.0, -0.5, -0.0, 0.0, 1e-300, 0.5, 1.0, 1.3, 2.0, 3.0, 401.0,
+                1e300, math.inf, math.nan]
+        arrays = [np.array([a]) for a in bases] + [np.array(bases), np.array([2.0, 0.5, -0.0, 0.0, 1e300])]
+
+        def run(fn, a, errstate):
+            with errstate, warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = outcome(fn, a)
+            return got, [(w.category, str(w.message)) for w in caught]
+
+        for b, a in itertools.product(exps, arrays):
+            for errstate in (contextlib.nullcontext, lambda: np.errstate(all="raise")):
+                fast = run(lambda t: ex._pow(t, b), a, errstate())
+                general = run(lambda t: ex._pow(t, np.asarray(b)), a, errstate())
+                assert fast == general, (a, b)
 
     def test_zero_powers_take_c99_signs_on_every_path(self):
         # numpy's (-0)^0.5 is sqrt(-0) = -0 for a 0-d or scalar exponent and
