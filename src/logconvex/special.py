@@ -11,15 +11,20 @@ import numpy as np
 
 from .convexity import (EVALUATION_ERRORS, ConvexityReport, build_report, count_sign_changes,
                         q_determinant, stencil)
-from .errors import DomainError, NonPositiveError, ToleranceNotMet
-from .funcore import Grid, RealFunction, fd_derivative
+from .errors import DomainError, NonFiniteError, NonPositiveError, ToleranceNotMet
+from .funcore import EPS, Grid, RealFunction, fd_derivative
 
 # --------------------------------------------------------------------------
-# Adaptive Simpson quadrature with Richardson halving error control
+# Double-exponential quadrature of Mellin-type integrals
 # --------------------------------------------------------------------------
 
-PANEL_BUDGET = 2 ** 20
-_MAX_DEPTH = 60
+#: The finest step in u is 2^-MAX_LEVEL.
+MAX_LEVEL = 8
+#: Levels stop where the estimate is within ROUNDING * eps * h * sum |terms|.
+ROUNDING = 16.0
+#: No node lies farther out than |u| = U_MAX.
+U_MAX = 9
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -29,110 +34,118 @@ class QuadratureResult:
     panels: int
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, limit: int):
-        self.left = limit
-
-    def spend(self, n: int):
-        self.left -= n
-        if self.left < 0:
-            raise ToleranceNotMet(f"panel budget of {PANEL_BUDGET} exhausted")
-
-
-def _adaptive_simpson(fn: Callable[[float], float], a: float, b: float, tol: float,
-                      budget: _Budget) -> tuple[float, float, int]:
-    """Integrate fn over [a, b]; returns (value, error estimate, panels)."""
-    fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
-    budget.spend(1)
-    s = (b - a) * (fa + 4.0 * fm + fb) / 6.0
-    return _refine(fn, a, b, fa, fm, fb, s, tol, budget, 0)
+def _de_nodes(u: np.ndarray, a: float, b: float):
+    """t, log t and log dt/du at the nodes u of the double-exponential map onto (a, b)."""
+    s = 0.5 * math.pi * np.sinh(u)
+    log_ds = np.log(0.5 * math.pi * np.cosh(u))
+    if math.isinf(b):
+        with np.errstate(over="ignore"):
+            t = a + np.exp(s)
+        return t, (s if a == 0.0 else np.log(t)), s + log_ds
+    # tanh-sinh: t - a (s < 0) and b - t (s >= 0) are both (b-a) e/(1+e), e = exp(-2|s|)
+    e = np.exp(-2.0 * np.abs(s))
+    log1p_e = np.log1p(e)
+    d = (b - a) * e / (1.0 + e)
+    t = np.where(s < 0.0, a + d, b - d)
+    log_t = math.log(b - a) + np.minimum(2.0 * s, 0.0) - log1p_e if a == 0.0 else np.log(t)
+    return t, log_t, math.log(2.0 * (b - a)) + log_ds - 2.0 * np.abs(s) - 2.0 * log1p_e
 
 
-def _refine(fn, a, b, fa, fm, fb, s, tol, budget, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = fn(lm), fn(rm)
-    budget.spend(2)
-    sl = (m - a) * (fa + 4.0 * flm + fm) / 6.0
-    sr = (b - m) * (fm + 4.0 * frm + fb) / 6.0
-    ds = (sl + sr) - s
-    if abs(ds) <= 15.0 * tol or depth >= _MAX_DEPTH:
-        return sl + sr + ds / 15.0, abs(ds) / 15.0, 2
-    vl, el, pl = _refine(fn, a, m, fa, flm, fm, sl, 0.5 * tol, budget, depth + 1)
-    vr, er, pr = _refine(fn, m, b, fm, frm, fb, sr, 0.5 * tol, budget, depth + 1)
-    return vl + vr, el + er, pl + pr
+def _mellin_values(phi, a: float, b: float, xs, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Integrals over (a, b) of phi(t) t^(x-1) dt at every x of xs, to absolute tol.
 
-
-def mellin_integral(phi: Callable[[float], float], a: float, b: float, x: float,
-                    tol: float) -> QuadratureResult:
-    """integral over (a, b) of phi(t) * t^(x-1) dt by adaptive Simpson.
-
-    The improper upper end is mapped by t = u/(1-u); the integrable endpoint
-    singularity at t=0 for x < 1 is removed by t = s^(1/x), which turns
-    t^(x-1) dt into ds/x.
+    Returns the values, their error estimates and the number of evaluations of
+    phi, which every x shares. See ``mellin_integral`` for the rule.
     """
     if not (a >= 0.0 and a < b):
         raise ValueError(f"need 0 <= a < b, got a={a!r}, b={b!r}")
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
-    budget = _Budget(PANEL_BUDGET)
-    # finite head piece ends where the u-mapped tail takes over
-    cut = max(a, 1.0) if math.isinf(b) else b
-    pieces = []
+    xs = np.asarray(xs, dtype=float)
+    f = RealFunction(fn=phi.fn if isinstance(phi, RealFunction) else phi)
+    evals = 0
 
-    if a < cut:
-        if a == 0.0 and x < 1.0:
-            inv_x = 1.0 / x
+    def terms(u: np.ndarray) -> np.ndarray:
+        """phi(t) t^(x-1) dt/du, one row per x."""
+        nonlocal evals
+        t, log_t, log_jac = _de_nodes(u, a, b)
+        w = (xs[:, None] - 1.0) * log_t + log_jac
+        ok = np.isfinite(t) & (w < _LOG_MAX).all(axis=0)
+        if not ok.all():
+            raise NonFiniteError(f"t^(x-1) dt/du leaves float range at u={float(u[~ok][0])!r}")
+        evals += u.size
+        with np.errstate(all="ignore"):
+            return f.values(t) * np.exp(w)
 
-            def head(s, phi=phi, inv_x=inv_x):
-                if s <= 0.0:
-                    t = 0.0
-                else:
-                    t = s ** inv_x
-                return phi(t)
+    def unmet(cond, err, why: str) -> ToleranceNotMet:
+        i = int(np.argmax(cond))
+        return ToleranceNotMet(f"mellin integral at x={float(xs[i])!r}: {why} ({err[i]:.3e}, tol {tol!r})")
 
-            v, e, p = _adaptive_simpson(head, 0.0, cut ** x, 0.5 * tol * x, budget)
-            pieces.append((v * inv_x, e * inv_x, p))
-        else:
-            def body(t, phi=phi, x=x):
-                if t <= 0.0:
-                    return phi(0.0) if x == 1.0 else 0.0
-                return phi(t) * math.exp((x - 1.0) * math.log(t))
+    # level 0, step 1: start from u = -3..2 (t < 300 on (0, inf)) and grow each
+    # end until its term is below eps times the peak
+    cols = dict(zip(range(-3, 3), terms(np.arange(-3.0, 3.0)).T))
+    trunc = np.zeros(xs.size)
+    for side, end in ((-1, -3), (1, 2)):
+        while (np.abs(cols[end]) > EPS * np.max(np.abs(list(cols.values())), axis=0)).any():
+            try:
+                col = terms(np.array([end + side], dtype=float))[:, 0] if abs(end + side) <= U_MAX else None
+            except EVALUATION_ERRORS:
+                col = None
+            if col is None:  # the term at the last node in range bounds what lies beyond
+                trunc += np.abs(cols[end])
+                break
+            end += side
+            cols[end] = col
+    if (trunc > tol).any():
+        raise unmet(trunc > tol, trunc, "the integrand has not decayed where the nodes end")
+    us = sorted(cols)
+    terms0 = np.array([cols[u] for u in us]).T
+    # keep one negligible node beyond the others at either end
+    keep = np.flatnonzero((np.abs(terms0) >= EPS * np.abs(terms0).max(axis=1, keepdims=True)).any(axis=0))
+    i, j = max(keep[0] - 1, 0), min(keep[-1] + 1, len(us) - 1)
+    lo, hi = us[i], us[j]
+    total = terms0[:, i:j + 1].sum(axis=1)
+    abs_total = np.abs(terms0[:, i:j + 1]).sum(axis=1)
+    h, prev = 1.0, total.copy()
+    for level in range(1, MAX_LEVEL + 1):
+        h *= 0.5
+        new = terms(np.arange(lo + h, hi, 2.0 * h))
+        total += new.sum(axis=1)
+        abs_total += np.abs(new).sum(axis=1)
+        values = h * total
+        est = np.abs(values - prev) + trunc
+        if (est <= tol).all():
+            return values, est, evals
+        stuck = (est > tol) & (est <= ROUNDING * EPS * h * abs_total)
+        if stuck.any():
+            raise unmet(stuck, est, "the error estimate is at the rounding floor")
+        prev = values
+    raise unmet(est > tol, est, f"the error estimate is above tol at step 2^-{MAX_LEVEL}")
 
-            v, e, p = _adaptive_simpson(body, a, cut, 0.5 * tol, budget)
-            pieces.append((v, e, p))
 
-    if math.isinf(b):
-        lo = cut / (1.0 + cut)
+def mellin_integral(phi: Callable[[float], float], a: float, b: float, x: float,
+                    tol: float) -> QuadratureResult:
+    """integral over (a, b) of phi(t) * t^(x-1) dt by a double-exponential rule.
 
-        def tail(u, phi=phi, x=x):
-            if u >= 1.0:
-                return 0.0
-            t = u / (1.0 - u)
-            if t <= 0.0:
-                return 0.0
-            w = (x - 1.0) * math.log(t)
-            return phi(t) * math.exp(w) / ((1.0 - u) * (1.0 - u))
-
-        v, e, p = _adaptive_simpson(tail, lo, 1.0, 0.5 * tol, budget)
-        pieces.append((v, e, p))
-
-    value = sum(v for v, _, _ in pieces)
-    err = sum(e for _, e, _ in pieces)
-    panels = sum(p for _, _, p in pieces)
-    return QuadratureResult(value=float(value), abs_error_estimate=float(err), panels=panels)
+    u runs over the real line, with s = pi/2 sinh(u): (a, inf) is mapped by
+    t = a + e^s and a finite (a, b) by tanh-sinh, t = (a+b)/2 + (b-a)/2 tanh(s).
+    The power t^(x-1) dt/du is formed in log space, so the x < 1 singularity
+    at t = 0 needs no special case. The step h halves from 1 to 2^-MAX_LEVEL,
+    each level adding only the odd nodes; the error estimate is
+    |S_h - S_2h|. ToleranceNotMet is raised when the integrand has not
+    decayed where the nodes leave float range, when the estimate reaches the
+    rounding floor above ``tol``, and when the levels run out. ``panels``
+    counts evaluations of phi.
+    """
+    values, errors, evals = _mellin_values(phi, a, b, [x], tol)
+    return QuadratureResult(value=float(values[0]), abs_error_estimate=float(errors[0]), panels=evals)
 
 
 def gamma_quadrature(x: float, tol: float = 1e-9) -> QuadratureResult:
     """Gamma(x) as the integral over (0, inf) of e^(-t) t^(x-1) dt, x > 0."""
     if not (x > 0.0):
         raise DomainError(f"gamma integral needs x > 0, got {x!r}")
-    try:
-        return mellin_integral(lambda t: math.exp(-t), 0.0, math.inf, x, tol)
-    except ToleranceNotMet as exc:
-        raise ToleranceNotMet(f"gamma quadrature at x={x!r}: {exc}") from exc
+    return mellin_integral(lambda t: np.exp(-t), 0.0, math.inf, x, tol)
 
 
 def riemann_sum_fn(f2: Callable[[float, float], float], a: float, b: float,
@@ -153,42 +166,24 @@ def mellin_logconvex_probe(phi: RealFunction | Callable[[float], float], a: floa
                            xs, tol: float = 1e-9) -> ConvexityReport:
     """Probe log-convexity of I(x) = integral phi(t) t^(x-1) dt at the given xs.
 
-    I is computed by the same quadrature machinery at each required point and
-    (log I)'' / q(I) are estimated by central differences of the sampled I.
+    I is computed at every x and x +- h by one quadrature run, whose nodes all
+    points share, and (log I)'' / q(I) are estimated by central differences.
     """
-    phi_fn = phi.fn if isinstance(phi, RealFunction) else phi
     xs = [float(t) for t in xs]
     if sorted(xs) != xs:
         raise ValueError("xs must be increasing")
-    cache: dict[float, float] = {}
-
-    def integral(x: float) -> float:
-        if x not in cache:
-            try:
-                cache[x] = mellin_integral(phi_fn, a, b, x, tol).value
-            except ToleranceNotMet as exc:
-                raise ToleranceNotMet(f"mellin integral at x={x!r}: {exc}") from exc
-        return cache[x]
-
-    q_vals: list[float | None] = []
-    d2_vals: list[float | None] = []
-    for x in xs:
-        h = 0.01 * max(1.0, abs(x))
-        try:
-            fv = integral(x)
-            if fv <= 0.0:
-                raise NonPositiveError(f"integral is not positive at x={x!r}")
-            fp, fm = integral(x + h), integral(x - h)
-            q, d2 = stencil(fm, fv, fp, h)
-            if d2 is None:
-                raise NonPositiveError(f"integral is not positive around x={x!r}")
-        except ToleranceNotMet:
-            raise
-        except EVALUATION_ERRORS:
-            q, d2 = None, None
-        q_vals.append(q)
-        d2_vals.append(d2)
-    return build_report(xs, q_vals, d2_vals)
+    hs = [0.01 * max(1.0, abs(x)) for x in xs]
+    try:
+        values = _mellin_values(phi, a, b, [p for x, h in zip(xs, hs) for p in (x - h, x, x + h)],
+                                tol)[0].tolist()
+    except ToleranceNotMet:
+        raise
+    except EVALUATION_ERRORS:
+        # no value anywhere: every stencil below fails
+        values = [math.nan] * (3 * len(xs))
+    stencils = [stencil(*values[3 * i:3 * i + 3], h) for i, h in enumerate(hs)]
+    # without (log I)'' a value of the stencil is not positive, and q is not reported either
+    return build_report(xs, [None if d2 is None else q for q, d2 in stencils], [d2 for _, d2 in stencils])
 
 
 # --------------------------------------------------------------------------
