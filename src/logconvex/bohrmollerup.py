@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, NonPositiveError, PoleError, \
-    SeriesDivergence, ToleranceNotMet, ZeroValueError
+from .errors import DivergenceError, DomainError, NonFiniteError, NonPositiveError, \
+    PoleError, SeriesDivergence, ToleranceNotMet, ZeroValueError
 from .funcore import EPS, RealFunction
 from .representer import Representer
 
@@ -299,12 +299,15 @@ def _scaled(g: Representer, x: float, x0: float, m: int, state: ProductState) ->
     """The base state at x0 carried to x = x0 + m by the functional equation: for
     m >= 0 it multiplies forward; for m < 0 the solved form
     f(x) = f(x + |m|) / prod g(x + k) divides, raising PoleError when a factor
-    vanishes. Bounds swap when the scale is negative, as for Gamma on (-1, 0)."""
+    vanishes, and NonFiniteError when the product of the factors underflows to 0.
+    Bounds swap when the scale is negative, as for Gamma on (-1, 0)."""
     if m >= 0:
         factor = _shift_product(g, x0, m)
         value, a, b = state.value * factor, state.lower * factor, state.upper * factor
     else:
         den = _shift_product(g, x, -m)
+        if den == 0.0:
+            raise NonFiniteError(f"prod g(x+k), k < {-m}, underflows to 0 at x={x!r}", x=x, value=math.inf)
         value, a, b = state.value / den, state.lower / den, state.upper / den
     return replace(state, value=value, lower=min(a, b), upper=max(a, b))
 

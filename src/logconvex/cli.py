@@ -162,6 +162,8 @@ def _report_rows_representer(ns: argparse.Namespace) -> list[dict]:
     g = from_spec(ns.representer_spec)
     a, b, n = ns.range_
     step = (b - a) / (n - 1)
+    if step * step == 0.0:
+        raise ValueError(f"range step {step!r} is too small: its square underflows to 0")
     # one extra sample either side so every row gets a centered stencil
     samples: list[float | None] = []
     for i in range(-1, n + 1):

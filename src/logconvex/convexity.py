@@ -198,14 +198,19 @@ def scan_convexity(f: RealFunction, a: float, b: float, n: int, h: float | None 
     """Sample q(f) and (log f)'' on a uniform n-point grid of [a, b].
 
     Points where evaluation raises one of EVALUATION_ERRORS are recorded as
-    gaps and force an Inconclusive verdict.
+    gaps and force an Inconclusive verdict. With exact derivatives the whole
+    grid is evaluated at once (``_exact_grid``) where no point is exceptional.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     xs = np.linspace(a, b, n)
+    exact = f.d1 is not None and f.d2 is not None
+    if exact:
+        grid = _exact_grid(f, xs)
+        if grid is not None:
+            return build_report(xs, *grid)
     q_vals: list[float | None] = []
     d2_vals: list[float | None] = []
-    exact = f.d1 is not None and f.d2 is not None
     for x in xs:
         if exact:
             q, d2 = _exact_point(f, float(x))
@@ -242,3 +247,32 @@ def _exact_point(f: RealFunction, x: float) -> tuple[float | None, float | None]
         except EVALUATION_ERRORS:  # ZeroDivisionError where f*f underflows
             pass
     return q, d2
+
+
+def _exact_grid(f: RealFunction, xs: np.ndarray) -> tuple[list[float], list[float]] | None:
+    """``_exact_point`` at every x of the grid, from one call each of f, d1 and d2 on
+    the whole array, with the same operations in the same order.
+
+    None, for the per-point loop to decide, unless no point is exceptional: the grid
+    lies inside the domain, no call raises or signals a floating-point error (a
+    scalar-only callable raises TypeError or ValueError on an array), f is finite
+    and positive with f*f > 0 (so |f| >= 1e-300), and f' and f'' are finite.
+    """
+    lo, hi = f.domain
+    if not (lo < xs.min() and xs.max() < hi):
+        return None
+    try:
+        with np.errstate(all="raise"):
+            fv, f1, f2 = (np.broadcast_to(np.asarray(fn(xs), dtype=float), xs.shape)
+                          for fn in (f.fn, f.d1, f.d2))
+    except (TypeError, *EVALUATION_ERRORS):
+        return None
+    # ignore: inf and nan pass silently, as in the per-point float arithmetic
+    with np.errstate(all="ignore"):
+        fsq = fv * fv
+        if not (np.isfinite(fv).all() and np.isfinite(f1).all() and np.isfinite(f2).all()
+                and (fv > 0.0).all() and (fsq > 0.0).all()):
+            return None
+        q = fv * f2 - f1 * f1
+        d2 = (f2 * fv - f1 * f1) / fsq
+    return q.tolist(), d2.tolist()

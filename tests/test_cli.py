@@ -10,7 +10,7 @@ import sys
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import logconvex
@@ -111,6 +111,13 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "--representer", "identity", "--x", "0")
         assert code == 4
         assert "vanishes" in err
+
+    def test_underflowing_shift_chain_exits_4(self, capsys):
+        # prod (x+k)^(x+k) from x = -24 to 0 underflows to 0.0
+        code, out, err = run_cli(capsys, "eval", "--representer", "x^x", "--x=-24")
+        assert code == 4
+        assert out == ""
+        assert "underflows" in err
 
     def test_expression_representer(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--representer", "x*(x+1)",
@@ -232,6 +239,13 @@ class TestReport:
         assert want[0] == 4  # rows at the poles are NA
         assert run_cli(capsys, "report", "--representer", "identity", "--range", "-2.5e0", "-5e-1", "5") == want
 
+    def test_step_too_small_to_square_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "report", "--representer", "identity",
+                                 "--range", "0.0", "7.462002518855719e-207", "3")
+        assert code == 2
+        assert out == ""
+        assert "too small" in err
+
     def test_range_validation(self, capsys):
         code, _, err = run_cli(capsys, "report", "--function", "fib",
                                "--range", "2", "1", "5")
@@ -332,6 +346,8 @@ def cli_argv(draw):
 class TestFuzz:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(cli_argv())
+    @example(["eval", "--representer=x^x", "--x=-24"])
+    @example(["report", "--representer=identity", "--range", "0.0", "7.462002518855719e-207", "3"])
     def test_every_input_maps_to_a_documented_exit_code(self, argv):
         """No traceback, whatever the arguments; exit 1 (check failure) only from checks.
         argparse ends a usage error with SystemExit(2), the config-error code."""

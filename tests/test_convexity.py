@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from logconvex import (
     DegenerateArguments,
+    LogconvexError,
     NonPositiveError,
     RealFunction,
     ZeroValueError,
@@ -27,10 +30,13 @@ from logconvex.convexity import (
     INCONCLUSIVE,
     LOG_CONVEX,
     NOT_LOG_CONVEX,
+    _exact_grid,
     build_report,
     stencil,
 )
 from logconvex.funcore import Grid
+from logconvex.special import fib_real_fn
+from test_expr import TREES
 
 
 def quadratic(a, b, c):
@@ -340,19 +346,30 @@ class TestOneEvaluationPerPoint:
         f = function_from_source(src)
         assert repr(scan_convexity(f, a, b, 61)) == repr(two_call_scan(f, a, b, 61))
 
-    def test_f_d1_d2_called_once_per_point(self):
+    @staticmethod
+    def counting(src):
+        f = function_from_source(src)
         calls = {"fn": 0, "d1": 0, "d2": 0}
 
-        def counted(name, fn):
+        def counted(name):
             def wrapped(x):
                 calls[name] += 1
-                return fn(x)
+                return getattr(f, name)(x)
             return wrapped
 
-        f = function_from_source("exp(x^2)")
-        counting = RealFunction(fn=counted("fn", f.fn), d1=counted("d1", f.d1), d2=counted("d2", f.d2))
+        return f, calls, RealFunction(fn=counted("fn"), d1=counted("d1"), d2=counted("d2"))
+
+    def test_f_d1_d2_called_once_per_grid(self):
+        f, calls, counting = self.counting("exp(x^2)")
         report = scan_convexity(counting, -1.0, 1.0, 17)
-        assert calls == {"fn": 17, "d1": 17, "d2": 17}
+        assert calls == {"fn": 1, "d1": 1, "d2": 1}
+        assert repr(report) == repr(two_call_scan(f, -1.0, 1.0, 17))
+
+    def test_fallback_calls_each_once_more_than_points(self):
+        # f < 0 everywhere: the grid call succeeds, then every point runs alone
+        f, calls, counting = self.counting("-exp(x^2)")
+        report = scan_convexity(counting, -1.0, 1.0, 17)
+        assert calls == {"fn": 18, "d1": 18, "d2": 18}
         assert repr(report) == repr(two_call_scan(f, -1.0, 1.0, 17))
 
     def test_parsed_function_never_walks_its_tree(self, monkeypatch):
@@ -363,3 +380,51 @@ class TestOneEvaluationPerPoint:
         report = scan_convexity(f, 0.5, 2.5, 33)
         assert report.verdict == NOT_LOG_CONVEX
         assert walks == []
+
+
+def _function_or_none(tree):
+    try:
+        return function_from_source(tree.pretty())
+    except (LogconvexError, ValueError, RecursionError):
+        return None
+
+
+#: parsed functions of random trees, with exact derivatives
+FUNCTIONS = TREES.map(_function_or_none).filter(lambda f: f is not None)
+
+#: (function, a, b) whose grid is exceptional, so every point is evaluated alone
+FALLBACK_CASES = [
+    (function_from_source("log(x)"), -1.0, 3.0),  # domain error inside the grid
+    (function_from_source("log(x)", domain=(0.0, math.inf)), -1.0, 3.0),  # grid leaves the domain
+    (function_from_source("exp(-400*x^2)"), -1.5, 1.5),  # f underflows
+    (function_from_source("-exp(x^2)"), -1.0, 1.0),  # f negative
+    (function_from_source("x^3 - x"), -1.5, 1.5),  # f changes sign
+    (EXP, -1.0, 1.0),  # scalar-only math.exp: TypeError on an array
+]
+
+
+class TestGridPath:
+    @pytest.mark.parametrize("f,a,b", FALLBACK_CASES)
+    def test_exceptional_grid_falls_back(self, f, a, b):
+        assert _exact_grid(f, np.linspace(a, b, 33)) is None
+
+    @pytest.mark.parametrize("f", [function_from_source("2"), IDENTITY, quadratic(1.0, 0.0, 1.0)])
+    def test_scalar_derivatives_are_broadcast(self, f):
+        assert _exact_grid(f, np.linspace(0.5, 2.0, 33)) is not None
+        assert repr(scan_convexity(f, 0.5, 2.0, 33)) == repr(two_call_scan(f, 0.5, 2.0, 33))
+
+    @settings(max_examples=300, deadline=None)
+    @given(FUNCTIONS, st.floats(-3.0, 3.0), st.floats(1e-3, 6.0), st.integers(2, 80))
+    @example(FALLBACK_CASES[0][0], -1.0, 4.0, 17)
+    @example(FALLBACK_CASES[1][0], -1.0, 4.0, 17)
+    @example(FALLBACK_CASES[2][0], -1.5, 3.0, 61)
+    @example(FALLBACK_CASES[3][0], -1.0, 2.0, 17)
+    @example(function_from_source("2"), 0.5, 1.5, 9)
+    @example(EXP, -1.0, 2.0, 17)
+    @example(fib_real_fn(), 0.1, 3.8, 64)
+    def test_same_report_as_the_two_criteria(self, f, a, width, n):
+        for errstate in ("ignore", "raise"):
+            with np.errstate(all=errstate):
+                got = scan_convexity(f, a, a + width, n)
+                want = two_call_scan(f, a, a + width, n)
+            assert repr(got) == repr(want), (f.name, a, width, n, errstate)
