@@ -6,7 +6,6 @@ independent criteria (determinant, second log-derivative, series)."""
 from .bohrmollerup import (
     InterpolationTarget,
     ProductState,
-    bilinear_a,
     evaluate,
     extend,
     extended_state,
@@ -59,16 +58,12 @@ from .special import (
     check_inner_multiplicator,
     check_outer_multiplier,
     curvature,
-    fib_binet,
-    fib_closed,
     fib_d2_signchanges,
     fib_real,
     fib_real_fn,
-    fib_sinh_cosh,
     gamma_quadrature,
     mellin_integral,
     mellin_logconvex_probe,
-    riemann_sum_fn,
 )
 
 __version__ = "0.1.0"

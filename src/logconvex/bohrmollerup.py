@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, NonFiniteError, NonPositiveError, \
     PoleError, SeriesDivergence, ToleranceNotMet, ZeroValueError
-from .funcore import EPS, RealFunction
+from .funcore import EPS
 from .representer import Representer
 
 DEFAULT_TOL = 1e-8
@@ -299,8 +299,9 @@ def _scaled(g: Representer, x: float, x0: float, m: int, state: ProductState) ->
     """The base state at x0 carried to x = x0 + m by the functional equation: for
     m >= 0 it multiplies forward; for m < 0 the solved form
     f(x) = f(x + |m|) / prod g(x + k) divides, raising PoleError when a factor
-    vanishes, and NonFiniteError when the product of the factors underflows to 0.
-    Bounds swap when the scale is negative, as for Gamma on (-1, 0)."""
+    vanishes, and NonFiniteError when the product of the factors underflows to 0
+    or the value underflows to 0 from a nonzero base value. Bounds swap when the
+    scale is negative, as for Gamma on (-1, 0)."""
     if m >= 0:
         factor = _shift_product(g, x0, m)
         value, a, b = state.value * factor, state.lower * factor, state.upper * factor
@@ -309,6 +310,8 @@ def _scaled(g: Representer, x: float, x0: float, m: int, state: ProductState) ->
         if den == 0.0:
             raise NonFiniteError(f"prod g(x+k), k < {-m}, underflows to 0 at x={x!r}", x=x, value=math.inf)
         value, a, b = state.value / den, state.lower / den, state.upper / den
+    if value == 0.0 and state.value != 0.0:
+        raise NonFiniteError(f"f({x!r}) underflows to 0 from f({x0!r}) = {state.value!r}", x=x, value=value)
     return replace(state, value=value, lower=min(a, b), upper=max(a, b))
 
 
@@ -487,28 +490,3 @@ def logconvexity_series(g: Representer, x: float, tol: float = 1e-8) -> float:
         prev_last_abs = float(abs_terms[-1])
         chunk = min(2 * chunk, 65536)
     raise ToleranceNotMet(f"series did not reach tol={tol!r} within {SERIES_BUDGET} terms")
-
-
-def bilinear_a(f: RealFunction, g: RealFunction, x: float, terms: int) -> float:
-    """sum_{k < terms} [ (f'(x+k))^2 f(x+k)^-2  -  g''(x+k) g(x+k)^-2 ].
-
-    The determinant form written out literally; note a(g, g) coincides with
-    ``logconvexity_series`` terms only when g'' vanishes (the series uses
-    g''/g, this uses g''/g^2).
-    """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    f = f.fn if isinstance(f, Representer) else f
-    g = g.fn if isinstance(g, Representer) else g
-    total = 0.0
-    for k in range(terms):
-        u = x + k
-        fv, gv = f(u), g(u)
-        if abs(fv) < POLE_TOL:
-            raise ZeroValueError(f"f vanishes at x+k={u!r} (k={k})")
-        if abs(gv) < POLE_TOL:
-            raise ZeroValueError(f"g vanishes at x+k={u!r} (k={k})")
-        f1 = f.derivative(u, 1)
-        g2 = g.derivative(u, 2)
-        total += (f1 * f1) / (fv * fv) - g2 / (gv * gv)
-    return total

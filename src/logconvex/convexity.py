@@ -198,25 +198,28 @@ def scan_convexity(f: RealFunction, a: float, b: float, n: int, h: float | None 
     """Sample q(f) and (log f)'' on a uniform n-point grid of [a, b].
 
     Points where evaluation raises one of EVALUATION_ERRORS are recorded as
-    gaps and force an Inconclusive verdict. With exact derivatives the whole
-    grid is evaluated at once (``_exact_grid``) where no point is exceptional.
+    gaps and force an Inconclusive verdict. With exact derivatives, f, f' and
+    f'' are taken at every point (``_exact_values``); a point's q is a gap where
+    f is not finite or |f| < 1e-300, and its (log f)'' where f is not finite,
+    f <= 0 or f*f == 0. Without them, ``q_determinant`` and ``d2_log`` run at
+    each point on central differences of step ``h``.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     xs = np.linspace(a, b, n)
-    exact = f.d1 is not None and f.d2 is not None
-    if exact:
-        grid = _exact_grid(f, xs)
-        if grid is not None:
-            return build_report(xs, *grid)
+    if f.d1 is not None and f.d2 is not None:
+        fv, f1, f2 = _exact_values(f, xs)
+        # ignore: inf and nan pass silently, as in the per-point float arithmetic
+        with np.errstate(all="ignore"):
+            fsq = fv * fv
+            q = fv * f2 - f1 * f1
+            d2 = (f2 * fv - f1 * f1) / fsq
+        bad = ~np.isfinite(fv)
+        return build_report(xs, _with_gaps(q, bad | (np.abs(fv) < 1e-300)),
+                            _with_gaps(d2, bad | (fv <= 0.0) | (fsq == 0.0)))
     q_vals: list[float | None] = []
     d2_vals: list[float | None] = []
     for x in xs:
-        if exact:
-            q, d2 = _exact_point(f, float(x))
-            q_vals.append(q)
-            d2_vals.append(d2)
-            continue
         try:
             q_vals.append(q_determinant(f, float(x), h))
         except EVALUATION_ERRORS:
@@ -228,51 +231,34 @@ def scan_convexity(f: RealFunction, a: float, b: float, n: int, h: float | None 
     return build_report(xs, q_vals, d2_vals)
 
 
-def _exact_point(f: RealFunction, x: float) -> tuple[float | None, float | None]:
-    """``q_determinant`` and ``d2_log`` at x (None where they raise), from one call each of f, d1 and d2."""
-    try:
-        fv = f(x)
-        tiny = abs(fv) < 1e-300
-        if tiny and fv <= 0.0:
-            return None, None  # neither value is defined, so the derivatives are not needed
-        f1 = float(f.d1(x))
-        f2 = float(f.d2(x))
-    except EVALUATION_ERRORS:
-        return None, None
-    q = None if tiny else fv * f2 - f1 * f1
-    d2 = None
-    if fv > 0.0:
-        try:
-            d2 = (f2 * fv - f1 * f1) / (fv * fv)
-        except EVALUATION_ERRORS:  # ZeroDivisionError where f*f underflows
-            pass
-    return q, d2
+def _with_gaps(values: np.ndarray, gap: np.ndarray) -> list[float | None]:
+    return [None if g else v for v, g in zip(values.tolist(), gap.tolist())]
 
 
-def _exact_grid(f: RealFunction, xs: np.ndarray) -> tuple[list[float], list[float]] | None:
-    """``_exact_point`` at every x of the grid, from one call each of f, d1 and d2 on
-    the whole array, with the same operations in the same order.
+def _exact_values(f: RealFunction, xs: np.ndarray) -> np.ndarray:
+    """f, f' and f'' at every x of the grid as a (3, n) array; a point where f(x),
+    f'(x) or f''(x) raises is nan in all three rows.
 
-    None, for the per-point loop to decide, unless no point is exceptional: the grid
-    lies inside the domain, no call raises or signals a floating-point error (a
-    scalar-only callable raises TypeError or ValueError on an array), f is finite
-    and positive with f*f > 0 (so |f| >= 1e-300), and f' and f'' are finite.
+    One call of each on the whole grid, unless the grid leaves the domain or a call
+    raises: an evaluation error, a floating-point signal that ``np.geterr()`` does
+    not ignore, or the TypeError of a scalar-only callable. Then each point is
+    evaluated alone.
     """
     lo, hi = f.domain
-    if not (lo < xs.min() and xs.max() < hi):
-        return None
-    try:
-        with np.errstate(all="raise"):
-            fv, f1, f2 = (np.broadcast_to(np.asarray(fn(xs), dtype=float), xs.shape)
-                          for fn in (f.fn, f.d1, f.d2))
-    except (TypeError, *EVALUATION_ERRORS):
-        return None
-    # ignore: inf and nan pass silently, as in the per-point float arithmetic
-    with np.errstate(all="ignore"):
-        fsq = fv * fv
-        if not (np.isfinite(fv).all() and np.isfinite(f1).all() and np.isfinite(f2).all()
-                and (fv > 0.0).all() and (fsq > 0.0).all()):
-            return None
-        q = fv * f2 - f1 * f1
-        d2 = (f2 * fv - f1 * f1) / fsq
-    return q.tolist(), d2.tolist()
+    if lo < xs.min() and xs.max() < hi:
+        signals = {kind: ("ignore" if mode == "ignore" else "raise") for kind, mode in np.geterr().items()}
+        out = np.empty((3, xs.size))
+        try:
+            with np.errstate(**signals):
+                for row, fn in zip(out, (f.fn, f.d1, f.d2)):
+                    row[:] = fn(xs)  # a scalar (the derivative of a constant) is broadcast
+            return out
+        except (TypeError, *EVALUATION_ERRORS):
+            pass
+    out = np.full((3, xs.size), math.nan)
+    for i, x in enumerate(xs.tolist()):
+        try:
+            out[:, i] = f(x), float(f.d1(x)), float(f.d2(x))
+        except EVALUATION_ERRORS:
+            pass
+    return out

@@ -37,10 +37,7 @@ CONSTANTS = {"pi": math.pi, "e": math.e, "phi": (1.0 + math.sqrt(5.0)) / 2.0}
 # --------------------------------------------------------------------------
 
 class Expr:
-    """Base node. Subclasses implement eval/diff/pretty via module functions."""
-
-    def eval(self, x):
-        return evaluate(self, x)
+    """Base node. Subclasses implement diff/pretty via module functions."""
 
     def diff(self) -> "Expr":
         return simplify(differentiate(self))

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import NonPositiveError, PoleError, ZeroDerivative
-from .funcore import RealFunction, default_step
+from .funcore import RealFunction
 from .special import fib_real_fn
 
 _INF = math.inf
@@ -194,23 +194,14 @@ DERIVATIVE_TOL = 1e-12
 def artinian_chain(g0: Representer, f: RealFunction, n: int) -> list[RealFunction]:
     """Successive representers of the derivatives of a solution for g0.
 
-    Returns [g_1, ..., g_n] where g_k(x) = (g_{k-1} f^(k-1))'(x) / f^(k)(x).
-    Exact symbolic trees are used when both f and g0 are expression-backed;
-    otherwise nested central differences, limited to n <= 3.
+    Returns [g_1, ..., g_n] where g_k(x) = (g_{k-1} f^(k-1))'(x) / f^(k)(x),
+    built from symbolic trees; f and g0 must both carry an expression tree.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(f, Representer):
-        f_ast, f_fn = f.ast, f.fn
-    else:
-        f_fn = f
-        f_ast = f.ast if isinstance(f.ast, ex.Expr) else None
-    if f_ast is not None and g0.ast is not None:
-        return _chain_symbolic(g0.ast, f_ast, n)
-    if n > 3:
-        raise ValueError("without expression-backed inputs the chain is limited to n <= 3 "
-                         "(finite-difference noise grows with the order)")
-    return _chain_numeric(g0, f_fn, n)
+    if not isinstance(f.ast, ex.Expr) or g0.ast is None:
+        raise ValueError("the Artinian chain needs f and g0 built from expressions")
+    return _chain_symbolic(g0.ast, f.ast, n)
 
 
 def function_from_source(src: str, params: dict[str, float] | None = None,
@@ -238,38 +229,4 @@ def _chain_symbolic(g_ast: ex.Expr, f_ast: ex.Expr, n: int) -> list[RealFunction
                         name=f"g{k}", ast=ex.simplify(ex.Binary("/", num, den)))
         out.append(g_k)
         prev = g_k.ast
-    return out
-
-
-def _nth_derivative(f: RealFunction, x: float, k: int) -> float:
-    if k == 0:
-        return f(x)
-    if k <= 2:
-        return f.derivative(x, k)
-    # third derivative: central difference of the second
-    h = default_step(x, 2)
-    return (f.derivative(x + h, 2) - f.derivative(x - h, 2)) / (2.0 * h)
-
-
-def _chain_numeric(g0: Representer, f: RealFunction, n: int) -> list[RealFunction]:
-    out: list[RealFunction] = []
-    prev: RealFunction | Representer = g0
-
-    def make_gk(prev_fn, k):
-        def product(x: float) -> float:
-            return prev_fn(x) * _nth_derivative(f, x, k - 1)
-
-        def val(x: float) -> float:
-            den = _nth_derivative(f, x, k)
-            if abs(den) < DERIVATIVE_TOL:
-                raise ZeroDerivative(f"|f^({k})({x!r})| < {DERIVATIVE_TOL}")
-            h = default_step(x, 1)
-            return (product(x + h) - product(x - h)) / (2.0 * h) / den
-
-        return RealFunction(fn=val, name=f"g{k}")
-
-    for k in range(1, n + 1):
-        g_k = make_gk(prev, k)
-        out.append(g_k)
-        prev = g_k
     return out

@@ -148,20 +148,6 @@ def gamma_quadrature(x: float, tol: float = 1e-9) -> QuadratureResult:
     return mellin_integral(lambda t: np.exp(-t), 0.0, math.inf, x, tol)
 
 
-def riemann_sum_fn(f2: Callable[[float, float], float], a: float, b: float,
-                   n: int, x: float) -> float:
-    """Left-endpoint Riemann sum h * sum_{k<n} f2(a + k h, x) with h = (b-a)/n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ValueError("need finite a < b")
-    h = (b - a) / n
-    total = 0.0
-    for k in range(n):
-        total += f2(a + k * h, x)
-    return h * total
-
-
 def mellin_logconvex_probe(phi: RealFunction | Callable[[float], float], a: float, b: float,
                            xs, tol: float = 1e-9) -> ConvexityReport:
     """Probe log-convexity of I(x) = integral phi(t) t^(x-1) dt at the given xs.
@@ -195,22 +181,6 @@ GOLDEN_RATIO = (1.0 + SQRT5) / 2.0
 _LN_PHI = math.log(GOLDEN_RATIO)
 
 
-def fib_binet(n: int) -> float:
-    """Raw Binet value (phi^n - (-1)^n phi^-n) / sqrt(5), any integer n."""
-    p = GOLDEN_RATIO ** n
-    return (p - (-1.0) ** n / p) / SQRT5
-
-
-def fib_closed(n: int) -> float:
-    """Binet value, snapped to the nearest integer when within 1e-9 (n >= 0)."""
-    raw = fib_binet(n)
-    if n >= 0:
-        nearest = round(raw)
-        if abs(raw - nearest) <= 1e-9:
-            return float(nearest)
-    return raw
-
-
 def fib_real(x):
     """Real part of the Binet extension: (phi^x - cos(pi x) phi^-x) / sqrt(5).
 
@@ -234,15 +204,6 @@ def fib_real_d2(x):
 def fib_real_fn() -> RealFunction:
     """fib_real as a RealFunction with exact first and second derivatives."""
     return RealFunction(fn=fib_real, d1=fib_real_d1, d2=fib_real_d2, name="fib")
-
-
-def fib_sinh_cosh(n: int) -> float:
-    """Integer values of fib_real in hyperbolic form.
-
-    (2/sqrt(5)) sinh(n ln phi) for even n, (2/sqrt(5)) cosh(n ln phi) for odd n.
-    """
-    w = n * _LN_PHI
-    return (2.0 / SQRT5) * (math.sinh(w) if n % 2 == 0 else math.cosh(w))
 
 
 def fib_d2_signchanges(a: float, b: float, grid_n: int) -> np.ndarray:

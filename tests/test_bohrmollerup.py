@@ -1,4 +1,4 @@
-"""Product representation, sandwich bounds, extension, series, bilinear form."""
+"""Product representation, sandwich bounds, extension, series."""
 
 import math
 import tracemalloc
@@ -10,14 +10,13 @@ from logconvex import (
     DivergenceError,
     DomainError,
     LogconvexError,
+    NonFiniteError,
     NonPositiveError,
     PoleError,
     RealFunction,
     Representer,
     SeriesDivergence,
     ToleranceNotMet,
-    ZeroValueError,
-    bilinear_a,
     builtin,
     d2_log,
     evaluate,
@@ -292,11 +291,21 @@ class TestExtend:
         state = extended_state(builtin("constant", v=3.0), -1.0)
         assert state.n == 0 and state.value == state.lower == state.upper == pytest.approx(1.0 / 9.0)
 
+    def test_underflow_to_zero_is_not_a_converged_value(self):
+        # Gamma(-200.5), about 1e-375, backwards; 0.5^1499.5, about 1e-452, forwards
+        half = builtin("constant", v=0.5)
+        for g, x in ((IDENTITY, -200.5), (half, 1500.5)):
+            with pytest.raises(NonFiniteError, match="underflows to 0"):
+                extended_state(g, x)
+        # a subnormal value is still a value
+        assert extended_state(half, 1070.5).value == 0.5 ** 1069.5 > 0.0
+
     def test_shift_chain_memory_is_bounded(self):
         g = builtin("constant", v=2.0)
         tracemalloc.start()
         try:
-            extend(g, -1e6 - 0.5)
+            with pytest.raises(NonFiniteError):  # 2^(-1e6) underflows
+                extend(g, -1e6 - 0.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -432,27 +441,3 @@ class TestLogconvexitySeries:
         for fn in (f, f_pow):
             for x in np.linspace(0.2, 5.0, 50):
                 assert d2_log(fn, float(x), h=1.0 / 64.0) >= -1e-6
-
-
-class TestBilinearA:
-    def test_identity_pair_sums_inverse_squares(self):
-        terms = 10_000
-        s = bilinear_a(IDENTITY, IDENTITY, 1.0, terms)
-        # true value pi^2/6 minus a tail between 1/(terms+1) and 1/terms
-        gap = math.pi ** 2 / 6.0 - s
-        assert 1.0 / (terms + 2) < gap < 1.0 / (terms - 1)
-        assert abs(s - math.pi ** 2 / 6.0) <= 1e-4
-
-    def test_exp_pair_partial_sum(self):
-        exp_fn = RealFunction(fn=math.exp, d1=math.exp, d2=math.exp)
-        oracle = sum(1.0 - math.exp(-k) for k in range(10))
-        assert bilinear_a(exp_fn, exp_fn, 0.0, 10) == pytest.approx(oracle, rel=1e-12)
-        assert oracle == pytest.approx(8.418, abs=5e-4)
-
-    def test_constants_cancel(self):
-        c = builtin("constant", v=3.0)
-        assert bilinear_a(c, c, 2.0, 25) == 0.0
-
-    def test_zero_value_detected(self):
-        with pytest.raises(ZeroValueError):
-            bilinear_a(IDENTITY, IDENTITY, 0.0, 5)

@@ -119,6 +119,13 @@ class TestEval:
         assert out == ""
         assert "underflows" in err
 
+    def test_underflowing_value_exits_4(self, capsys):
+        # Gamma(-200.5) is about 1e-375, below the smallest double
+        code, out, err = run_cli(capsys, "eval", "--representer", "identity", "--x=-200.5")
+        assert code == 4
+        assert out == ""
+        assert "underflows" in err
+
     def test_expression_representer(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--representer", "x*(x+1)",
                                "--x", "0.5", "--tol", "1e-5")
@@ -192,6 +199,15 @@ class TestReport:
         assert by_x[0.0][1] == "NA"  # f itself fails at the pole
         assert by_x[-0.5][2] == "NA"  # negative f has no log
         assert by_x[0.5][3] != "NA"
+
+    def test_underflowing_rows_na(self, capsys):
+        # Gamma(x) near x = -200 lies below the smallest double: no row is a zero
+        code, out, _ = run_cli(capsys, "report", "--representer", "identity",
+                               "--range", "-201.5", "-199.5", "3")
+        assert code == 4
+        lines = out.strip().split("\n")
+        assert lines[0] == "x,f,log_f,d2_log,q_det"
+        assert lines[1:] == [f"{x},NA,NA,NA,NA" for x in ("-201.5", "-200.5", "-199.5")]
 
     def test_fib_function_report(self, capsys):
         code, out, _ = run_cli(capsys, "report", "--function", "fib",

@@ -30,7 +30,7 @@ from logconvex.convexity import (
     INCONCLUSIVE,
     LOG_CONVEX,
     NOT_LOG_CONVEX,
-    _exact_grid,
+    _exact_values,
     build_report,
     stencil,
 )
@@ -334,6 +334,36 @@ def two_call_scan(f, a, b, n):
     return build_report(xs, q_vals, d2_vals)
 
 
+def counting(f):
+    """f with each call of fn, d1 and d2 recorded as the number of dimensions of its x."""
+    calls = {"fn": [], "d1": [], "d2": []}
+
+    def counted(name):
+        def wrapped(x):
+            calls[name].append(np.ndim(x))
+            return getattr(f, name)(x)
+        return wrapped
+
+    return calls, RealFunction(fn=counted("fn"), d1=counted("d1"), d2=counted("d2"), domain=f.domain)
+
+
+ONCE_ON_THE_GRID = {"fn": [1], "d1": [1], "d2": [1]}
+
+#: (source, a, b) of grids whose points are exceptional although no call raises
+EXCEPTIONAL_GRIDS = [
+    ("-exp(x^2)", -1.0, 1.0),  # f negative
+    ("x^3 - x", -1.5, 1.5),  # f changes sign
+    ("exp(-400*x^2)", -1.5, 1.5),  # exp underflows to 0 at the ends, and f*f before it
+]
+
+#: (function, a, b) where a call cannot run on the whole grid
+POINTWISE_GRIDS = [
+    (function_from_source("log(x)"), -1.0, 3.0),  # the log guard raises inside the grid
+    (function_from_source("log(x)", domain=(0.0, math.inf)), -1.0, 3.0),  # grid leaves the domain
+    (EXP, -1.0, 1.0),  # scalar-only math.exp: TypeError on an array
+]
+
+
 class TestOneEvaluationPerPoint:
     @pytest.mark.parametrize("src,a,b", [
         ("exp(-400*x^2)", -1.5, 1.5),  # f underflows to 0, and f*f underflows first
@@ -346,31 +376,33 @@ class TestOneEvaluationPerPoint:
         f = function_from_source(src)
         assert repr(scan_convexity(f, a, b, 61)) == repr(two_call_scan(f, a, b, 61))
 
-    @staticmethod
-    def counting(src):
+    @pytest.mark.parametrize("src,a,b", [("exp(x^2)", -1.0, 1.0), *EXCEPTIONAL_GRIDS])
+    def test_f_d1_d2_called_once_per_grid(self, src, a, b):
         f = function_from_source(src)
-        calls = {"fn": 0, "d1": 0, "d2": 0}
+        calls, counted = counting(f)
+        report = scan_convexity(counted, a, b, 17)
+        assert calls == ONCE_ON_THE_GRID
+        assert repr(report) == repr(two_call_scan(f, a, b, 17))
 
-        def counted(name):
-            def wrapped(x):
-                calls[name] += 1
-                return getattr(f, name)(x)
-            return wrapped
+    @pytest.mark.parametrize("f,a,b", POINTWISE_GRIDS)
+    def test_grid_a_call_cannot_run_on_is_evaluated_point_by_point(self, f, a, b):
+        calls, counted = counting(f)
+        report = scan_convexity(counted, a, b, 17)
+        lo, hi = f.domain
+        inside = sum(lo < x < hi for x in np.linspace(a, b, 17))
+        assert calls["fn"].count(0) == inside
+        assert calls["fn"].count(1) <= 1 and calls["d1"].count(1) <= 1 and calls["d2"].count(1) <= 1
+        assert repr(report) == repr(two_call_scan(f, a, b, 17))
 
-        return f, calls, RealFunction(fn=counted("fn"), d1=counted("d1"), d2=counted("d2"))
-
-    def test_f_d1_d2_called_once_per_grid(self):
-        f, calls, counting = self.counting("exp(x^2)")
-        report = scan_convexity(counting, -1.0, 1.0, 17)
-        assert calls == {"fn": 1, "d1": 1, "d2": 1}
-        assert repr(report) == repr(two_call_scan(f, -1.0, 1.0, 17))
-
-    def test_fallback_calls_each_once_more_than_points(self):
-        # f < 0 everywhere: the grid call succeeds, then every point runs alone
-        f, calls, counting = self.counting("-exp(x^2)")
-        report = scan_convexity(counting, -1.0, 1.0, 17)
-        assert calls == {"fn": 18, "d1": 18, "d2": 18}
-        assert repr(report) == repr(two_call_scan(f, -1.0, 1.0, 17))
+    def test_only_signals_the_caller_does_not_ignore_go_point_by_point(self):
+        f = function_from_source("exp(-400*x^2)")  # exp underflows at the ends of the grid
+        for errstate, fn_calls in (({"under": "ignore"}, [1]), ({"all": "raise"}, [1] + [0] * 17)):
+            calls, counted = counting(f)
+            with np.errstate(**errstate):
+                report = scan_convexity(counted, -1.5, 1.5, 17)
+                want = two_call_scan(f, -1.5, 1.5, 17)
+            assert calls["fn"] == fn_calls, errstate
+            assert repr(report) == repr(want), errstate
 
     def test_parsed_function_never_walks_its_tree(self, monkeypatch):
         f = function_from_source("exp(-x^2/2)*sqrt(x^2+1)")
@@ -392,33 +424,21 @@ def _function_or_none(tree):
 #: parsed functions of random trees, with exact derivatives
 FUNCTIONS = TREES.map(_function_or_none).filter(lambda f: f is not None)
 
-#: (function, a, b) whose grid is exceptional, so every point is evaluated alone
-FALLBACK_CASES = [
-    (function_from_source("log(x)"), -1.0, 3.0),  # domain error inside the grid
-    (function_from_source("log(x)", domain=(0.0, math.inf)), -1.0, 3.0),  # grid leaves the domain
-    (function_from_source("exp(-400*x^2)"), -1.5, 1.5),  # f underflows
-    (function_from_source("-exp(x^2)"), -1.0, 1.0),  # f negative
-    (function_from_source("x^3 - x"), -1.5, 1.5),  # f changes sign
-    (EXP, -1.0, 1.0),  # scalar-only math.exp: TypeError on an array
-]
-
 
 class TestGridPath:
-    @pytest.mark.parametrize("f,a,b", FALLBACK_CASES)
-    def test_exceptional_grid_falls_back(self, f, a, b):
-        assert _exact_grid(f, np.linspace(a, b, 33)) is None
-
     @pytest.mark.parametrize("f", [function_from_source("2"), IDENTITY, quadratic(1.0, 0.0, 1.0)])
     def test_scalar_derivatives_are_broadcast(self, f):
-        assert _exact_grid(f, np.linspace(0.5, 2.0, 33)) is not None
+        assert _exact_values(f, np.linspace(0.5, 2.0, 33)).shape == (3, 33)
         assert repr(scan_convexity(f, 0.5, 2.0, 33)) == repr(two_call_scan(f, 0.5, 2.0, 33))
 
     @settings(max_examples=300, deadline=None)
     @given(FUNCTIONS, st.floats(-3.0, 3.0), st.floats(1e-3, 6.0), st.integers(2, 80))
-    @example(FALLBACK_CASES[0][0], -1.0, 4.0, 17)
-    @example(FALLBACK_CASES[1][0], -1.0, 4.0, 17)
-    @example(FALLBACK_CASES[2][0], -1.5, 3.0, 61)
-    @example(FALLBACK_CASES[3][0], -1.0, 2.0, 17)
+    @example(POINTWISE_GRIDS[0][0], -1.0, 4.0, 17)
+    @example(POINTWISE_GRIDS[1][0], -1.0, 4.0, 17)
+    @example(function_from_source("exp(-400*x^2)"), -1.5, 3.0, 61)
+    @example(function_from_source("-exp(x^2)"), -1.0, 2.0, 17)
+    @example(function_from_source("x^3 - x"), -1.5, 3.0, 64)
+    @example(function_from_source("exp(-400*x^2)"), -1.0, 2.0, 64)
     @example(function_from_source("2"), 0.5, 1.5, 9)
     @example(EXP, -1.0, 2.0, 17)
     @example(fib_real_fn(), 0.1, 3.8, 64)

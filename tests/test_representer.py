@@ -146,21 +146,13 @@ class TestArtinianChain:
         with pytest.raises(ZeroDerivative):
             chain[1](1.0)
 
-    def test_numeric_fallback_matches_symbolic(self):
-        f_sym = function_from_source("exp(x)")
-        f_num = RealFunction(fn=lambda x: math.exp(x),
-                             d1=lambda x: math.exp(x),
-                             d2=lambda x: math.exp(x))
-        g0 = builtin("constant", v=math.e)
-        sym = artinian_chain(g0, f_sym, 1)[0]
-        num = artinian_chain(g0, f_num, 1)[0]
-        for x in (0.4, 1.1):
-            assert num(x) == pytest.approx(sym(x), rel=1e-7)
-
-    def test_numeric_depth_capped(self):
-        f_num = RealFunction(fn=lambda x: math.exp(x))
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_non_expression_input_rejected(self, n):
+        f_num = RealFunction(fn=math.exp, d1=math.exp, d2=math.exp)
         with pytest.raises(ValueError):
-            artinian_chain(builtin("constant", v=2.0), f_num, 4)
+            artinian_chain(builtin("constant", v=2.0), f_num, n)
+        with pytest.raises(ValueError):
+            artinian_chain(builtin("fibonacci"), function_from_source("exp(x)"), n)
 
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):

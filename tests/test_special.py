@@ -16,28 +16,17 @@ from logconvex import (
     curvature,
     d2_log,
     extend,
-    fib_binet,
-    fib_closed,
     fib_d2_signchanges,
     fib_real,
     fib_real_fn,
-    fib_sinh_cosh,
     function_from_source,
     gamma_quadrature,
     mellin_integral,
     mellin_logconvex_probe,
-    riemann_sum_fn,
 )
 from logconvex.convexity import LOG_CONVEX
 
 SQRT_PI = math.sqrt(math.pi)
-
-
-def fib_oracle(n_max):
-    seq = [0.0, 1.0]
-    while len(seq) <= n_max:
-        seq.append(seq[-1] + seq[-2])
-    return seq
 
 
 class TestGammaQuadrature:
@@ -155,47 +144,18 @@ class TestMellin:
             mellin_logconvex_probe(phi, 1.0, 2.0, [1.0, 2.0])
 
 
-class TestRiemannSum:
-    def test_flat_integrand(self):
-        assert riemann_sum_fn(lambda t, x: t ** (x - 1.0), 1.0, 2.0, 2, 1.0) == 1.0
-
-    def test_linear_integrand_converges(self):
-        got = riemann_sum_fn(lambda t, x: t ** (x - 1.0), 1.0, 2.0, 10_000, 2.0)
-        assert got == pytest.approx(1.5, abs=1e-3)
-
-    def test_single_panel(self):
-        f2 = lambda t, x: t * x
-        assert riemann_sum_fn(f2, 2.0, 5.0, 1, 3.0) == (5.0 - 2.0) * f2(2.0, 3.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            riemann_sum_fn(lambda t, x: 1.0, 0.0, 1.0, 0, 1.0)
-        with pytest.raises(ValueError):
-            riemann_sum_fn(lambda t, x: 1.0, 0.0, math.inf, 10, 1.0)
-
-
 class TestFibonacci:
-    def test_closed_form_values(self):
-        assert fib_closed(0) == 0.0
-        assert fib_closed(1) == 1.0
-        assert fib_closed(10) == 55.0
-
-    def test_raw_vs_snapped(self):
-        raw = fib_binet(10)
-        assert raw != 55.0 or fib_closed(10) == 55.0
-        assert abs(raw - 55.0) <= 1e-9
-        assert fib_closed(10) == 55.0
-
-    def test_negative_index_uses_raw_binet(self):
-        # F(-1) = 1, F(-2) = -1 by the recursion run backwards
-        assert fib_binet(-1) == pytest.approx(1.0, abs=1e-12)
-        assert fib_binet(-2) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_matches_recursion_oracle(self):
-        seq = fib_oracle(30)
-        for n in range(31):
-            assert fib_closed(n) == pytest.approx(seq[n], abs=1e-9)
-            assert fib_real(float(n)) == pytest.approx(seq[n], abs=1e-9)
+    def test_integers_match_the_recursion_run_both_ways(self):
+        fib = {0: 0.0, 1: 1.0}
+        for n in range(2, 31):
+            fib[n] = fib[n - 1] + fib[n - 2]
+        for n in range(-1, -7, -1):
+            fib[n] = fib[n + 2] - fib[n + 1]
+        assert (fib[-1], fib[-2]) == (1.0, -1.0)
+        for n, want in fib.items():
+            # absolute bounds only: 1e-12 up to F(8) = 21, 1e-9 above (F(30) = 832040)
+            tol = 1e-12 if n <= 8 else 1e-9
+            assert fib_real(float(n)) == pytest.approx(want, abs=tol), n
 
     def test_real_extension_at_half(self):
         phi = (1.0 + math.sqrt(5.0)) / 2.0
@@ -210,10 +170,6 @@ class TestFibonacci:
         for x in rng.uniform(-5.0, 5.0, 100):
             x = float(x)
             assert abs(fib_real(x + 2.0) - fib_real(x + 1.0) - fib_real(x)) <= 1e-10
-
-    def test_sinh_cosh_form_matches_at_integers(self):
-        for n in range(-6, 9):
-            assert fib_sinh_cosh(n) == pytest.approx(fib_real(float(n)), abs=1e-10)
 
     def test_representer_consistency(self):
         """builtin fibonacci equals fib_real(x+1)/fib_real(x) pointwise."""
