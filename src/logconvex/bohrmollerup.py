@@ -22,6 +22,7 @@ integer arguments exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -143,33 +144,75 @@ def _shift_product(g: Representer, x: float, count: int) -> float:
     return acc
 
 
-def _sandwich_logs(g: Representer, x: float, n: int, log_pn: float, g_n: float,
-                   g_xn: float) -> tuple[float, float, float]:
-    """(log p_{n+1}(x), x log g(n), |g(x+n)/g(n) - 1|) from log p_n(x) and g at n and
-    x+n; the sandwich bounds are exp(log p_{n+1} + x log g(n)) and exp(log p_n + x log g(n))."""
-    if not (g_n > 0.0 and g_xn >= POLE_TOL):
-        _log_terms(g, x, n, n + 1)  # raises the k = n term's PoleError or NonPositiveError
-    return log_pn + (math.log(g_n) - math.log(g_xn)), x * math.log(g_n), abs(g_xn / g_n - 1.0)
+def _coefficients(x0: float) -> tuple[list[float], float]:
+    """([C(x0, j) for j = 1..p], C(x0-1, p)), by the products of the order-p terms."""
+    cs, c, c_prev = [], 1.0, 1.0
+    for j in range(1, ORDER + 1):
+        c *= (x0 - j + 1) / j
+        c_prev *= (x0 - j) / j
+        cs.append(c)
+    return cs, c_prev
 
 
-def _block(g: Representer, x0: float, n: int, have: int, max_n: int):
+def _level_terms(x0: float, coeffs: tuple[list[float], float], win: np.ndarray,
+                 gx: np.ndarray) -> list[tuple]:
+    """The order-p and sandwich terms of levels n, one column of ``win`` = g(n .. n+2p)
+    and one entry of ``gx`` = g(x0+n) per level, with ``coeffs`` = ``_coefficients(x0)``.
+
+    Returns per level (sum_{j=1..p} C(x0, j) Delta^{j-1} log g(n),
+    |C(x0-1, p)| |Delta^p log g(n)|, Delta log g(n), whether Delta^p log g keeps one
+    sign over n .. n+p, log g(n) - log g(x0+n), x0 log g(n), |g(x0+n)/g(n) - 1|).
+    g(n) and g(x0+n) must be positive. A column holding a non-positive value gives
+    (0, inf, nan, False) for its order-p terms: the sandwich decides that level.
+    The logs are ``math.log``'s, whose bits ``np.log`` does not always share.
+    """
+    cs, c_last = coeffs
+    flat = win.ravel().tolist()  # g(n) of every level first
+    if min(flat) > 0.0:
+        logs, positive = list(map(math.log, flat)), None
+    else:
+        logs, positive = [math.log(v) if v > 0.0 else math.nan for v in flat], win.min(axis=0) > 0.0
+    logs = np.array(logs).reshape(win.shape)
+    heads, d = [], logs
+    for _ in range(ORDER):
+        heads.append(d[0])
+        d = d[1:] - d[:-1]
+    tail, d1 = 0.0, heads[1]
+    for c, head in zip(cs, heads):
+        tail = tail + c * head
+    bound = np.abs(c_last * d[0])
+    one_sign = (np.minimum.reduce(d) >= 0.0) | (np.maximum.reduce(d) <= 0.0)
+    if positive is not None:
+        tail, bound = np.where(positive, tail, 0.0), np.where(positive, bound, math.inf)
+        d1, one_sign = np.where(positive, d1, math.nan), one_sign & positive
+    log_gn, gxs = heads[0], gx.tolist()
+    log_gx = np.array(list(map(math.log, gxs)))
+    # as Python floats, a ratio past float range is inf and raises no numpy warning
+    rel_gap = [abs(b / a - 1.0) for a, b in zip(flat, gxs)]
+    return list(zip(tail.tolist(), bound.tolist(), d1.tolist(), one_sign.tolist(),
+                    (log_gn - log_gx).tolist(), (x0 * log_gn).tolist(), rel_gap))
+
+
+def _block(g: Representer, x0: float, n: int, have: int, max_n: int,
+           coeffs: tuple[list[float], float]):
     """(end, block) for the levels from n up to ``end``, the last level of the
     doubling n, min(2n, max_n), ... not past the first of BLOCK_ENDS >= n.
 
-    block = (have, g(k), log g(k), g(x0+k), log g(x0+k)) with k = have .. end+2p for
-    g(k), where 1.0 stands in for g(0) and log g(0) := 0, and k = have .. end for
-    g(x0+k): every argument of those levels, from one call of g. It is None, and
-    the levels make their own calls, past the last block end and where this call
-    meets any fault: an exception, a floating-point signal, or a value below
+    block = (have, log g(k) - log g(x0+k), g(x0+k), terms) with k = have .. end,
+    where log g(0) := 0, and ``terms`` the ``_level_terms`` of the block's levels,
+    keyed by n: every argument of those levels, from one call of g. It is None,
+    and the levels make their own calls, past the last block end and where this
+    call meets any fault: an exception, a floating-point signal, or a value below
     POLE_TOL. The call evaluates g past the level where the loop may stop, so
     those levels' own calls raise what is theirs, and in their order.
     """
     bound = next((e for e in BLOCK_ENDS if e >= n), None)
     if bound is None:
         return max_n, None
-    end = n
-    while end < max_n and min(2 * end, max_n) <= bound:
-        end = min(2 * end, max_n)
+    levels = [n]
+    while levels[-1] < max_n and min(2 * levels[-1], max_n) <= bound:
+        levels.append(min(2 * levels[-1], max_n))
+    end = levels[-1]
     ks = np.arange(have, end + 2 * ORDER + 1, dtype=float)
     args = np.concatenate((ks, x0 + ks[:end + 1 - have]))
     if have == 0:
@@ -184,7 +227,10 @@ def _block(g: Representer, x0: float, n: int, have: int, max_n: int):
     logs = np.log(vals)
     if have == 0:
         logs[0] = 0.0
-    return end, (have, vals[:ks.size], logs[:ks.size], vals[ks.size:], logs[ks.size:])
+    xv = vals[ks.size:]
+    at = np.array(levels) - have
+    terms = _level_terms(x0, coeffs, vals[np.arange(2 * ORDER + 1)[:, None] + at], xv[at])
+    return end, (have, logs[:xv.size] - logs[ks.size:], xv, dict(zip(levels, terms)))
 
 
 def _differences(vals: list[float]) -> tuple[list[float], bool]:
@@ -197,25 +243,11 @@ def _differences(vals: list[float]) -> tuple[list[float], bool]:
     return heads + [d[0]], min(d) >= 0.0 or max(d) <= 0.0
 
 
-def _gauss_tail(x: float, vals: list[float]) -> tuple[float, float, float, bool]:
-    """The order-p terms from vals = g(n .. n+2p).
-
-    Returns (sum_{j=1..p} C(x, j) Delta^{j-1} log g(n), |C(x-1, p)| |Delta^p log g(n)|,
-    Delta log g(n), whether Delta^p log g keeps one sign over n .. n+p).
-    """
-    if not min(vals) > 0.0:
-        return 0.0, math.inf, math.nan, False
-    d, one_sign = _differences([math.log(v) for v in vals])
-    tail, c, c_prev = 0.0, 1.0, 1.0  # c = C(x, j), c_prev = C(x-1, j)
-    for j in range(1, ORDER + 1):
-        c *= (x - j + 1) / j
-        c_prev *= (x - j) / j
-        tail += c * d[j - 1]
-    return tail, abs(c_prev * d[ORDER]), d[1], one_sign
-
-
-def _base_state(g: Representer, x0: float, m: int, tol: float, max_n: int) -> ProductState:
-    """The product at x0 in (0, 1], n doubling from 4 until the bound meets ``tol``.
+def _base_state(g: Representer, x0: float, m: int, tol: float,
+                max_n: int) -> tuple[ProductState, np.ndarray | None]:
+    """The product at x0 in (0, 1], n doubling from 4 until the bound meets ``tol``,
+    and g(x0+k) for k up to the first block's end, the values the forward scaling
+    needs (None where that block is None).
 
     Short of ``tol``, the level with the smallest bound is returned, once
     ``max_n`` is reached or the rounding allowance of the next level alone
@@ -233,39 +265,45 @@ def _base_state(g: Representer, x0: float, m: int, tol: float, max_n: int) -> Pr
     signature of a representer violating lim g(n)/g(x+n) = 1.
 
     Each level needs the log terms for k < n and g at n .. n+2p and x0+n. Up to
-    CHUNK, one call of g gives them for a block of levels (``_block``), and
-    each level sums its slice of the block's logs; every sum and value has the
+    CHUNK, one call of g gives them for a block of levels (``_block``), whose
+    order-p and sandwich terms are one array pass; each level sums its slice of
+    the block's logs when the loop reaches it, and every sum and value has the
     bits of a level's own calls. Where the block's call meets a fault, and past
     CHUNK, each level makes its own calls: ``_log_terms`` over [n/2, n) in
-    chunks of CHUNK, then g at the 2p+2 points.
+    chunks of CHUNK, then g at the 2p+2 points, whose terms are a one-level
+    ``_level_terms``.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
     if max_n < 4:
         raise ValueError("max_n must be >= 4")
+    coeffs = _coefficients(x0)
     n, have = 4, 0  # log_pn sums the log terms for k < have
     log_pn = 0.0
     prev_gap, prev_log_value = math.inf, None
     prev_d1 = 0.0  # no level yet: only Delta log g(n) = 0 counts as shrinking
     stalled = 0
     best = (math.inf,)  # (bound, n, log_pn, log_value, rel_gap) of the tightest level
-    block_end, block = 0, None
+    block_end, block = _block(g, x0, n, have, max_n, coeffs)
+    forward = block[2] if block is not None else None
     while True:
         if n > block_end:
-            block_end, block = _block(g, x0, n, have, max_n)
+            block_end, block = _block(g, x0, n, have, max_n, coeffs)
         if block is not None:
-            start, iv, ilog, xv, xlog = block  # arrays indexed by k - start
-            a, b = have - start, n - start
-            log_pn += float(np.sum(ilog[a:b] - xlog[a:b]))
-            vals = iv[b:b + 2 * ORDER + 1].tolist() + [float(xv[b])]
+            start, log_terms, _, terms = block  # log_terms is indexed by k - start
+            log_pn += float(np.add.reduce(log_terms[have - start:n - start]))
+            tail, bound, d1, one_sign, log_ratio, log_gx, rel_gap = terms[n]
         else:
             for lo in range(have, n, CHUNK):
                 log_pn += _log_terms(g, x0, lo, min(lo + CHUNK, n))
             # g at n .. n+2p for the order-p terms, then at x0 + n for the sandwich
-            vals = g.values(np.array([*range(n, n + 2 * ORDER + 1), x0 + n], dtype=float)).tolist()
+            vals = g.values(np.array([*range(n, n + 2 * ORDER + 1), x0 + n], dtype=float))
+            if not (vals[0] > 0.0 and vals[-1] >= POLE_TOL):
+                _log_terms(g, x0, n, n + 1)  # raises the k = n term's PoleError or NonPositiveError
+            (tail, bound, d1, one_sign, log_ratio, log_gx, rel_gap), = _level_terms(
+                x0, coeffs, vals[:-1, None], vals[-1:])
         have = n
-        log_pn1, log_gx, rel_gap = _sandwich_logs(g, x0, n, log_pn, vals[0], vals[-1])
-        tail, bound, d1, one_sign = _gauss_tail(x0, vals[:-1])
+        log_pn1 = log_pn + log_ratio
         if one_sign and (d1 == 0.0 or abs(d1) <= SHRINK * abs(prev_d1)):
             log_value = log_pn + tail
         else:
@@ -292,18 +330,24 @@ def _base_state(g: Representer, x0: float, m: int, tol: float, max_n: int) -> Pr
     value = math.exp(log_value)
     return ProductState(n=n, p_n=math.exp(log_pn), lower=value * math.exp(-bound),
                         upper=value * math.exp(bound), value=value, rel_gap=rel_gap,
-                        converged=bound <= tol)
+                        converged=bound <= tol), forward
 
 
-def _scaled(g: Representer, x: float, x0: float, m: int, state: ProductState) -> ProductState:
+def _scaled(g: Representer, x: float, x0: float, m: int, state: ProductState,
+            forward: np.ndarray | None = None) -> ProductState:
     """The base state at x0 carried to x = x0 + m by the functional equation: for
-    m >= 0 it multiplies forward; for m < 0 the solved form
-    f(x) = f(x + |m|) / prod g(x + k) divides, raising PoleError when a factor
-    vanishes, and NonFiniteError when the product of the factors underflows to 0
-    or the value underflows to 0 from a nonzero base value. Bounds swap when the
+    m >= 0 it multiplies forward, by g(x0+k) from ``forward`` where it holds
+    every k < m; for m < 0 the solved form f(x) = f(x + |m|) / prod g(x + k)
+    divides, raising PoleError when a factor vanishes, and NonFiniteError when
+    the product of the factors underflows to 0. NonFiniteError is also raised
+    when the value from a nonzero base value underflows to 0 or is subnormal,
+    where it carries fewer bits than the bounds claim. Bounds swap when the
     scale is negative, as for Gamma on (-1, 0)."""
     if m >= 0:
-        factor = _shift_product(g, x0, m)
+        if forward is not None and m <= forward.size:
+            factor = math.prod(forward[:m].tolist(), start=1.0)
+        else:
+            factor = _shift_product(g, x0, m)
         value, a, b = state.value * factor, state.lower * factor, state.upper * factor
     else:
         den = _shift_product(g, x, -m)
@@ -312,6 +356,9 @@ def _scaled(g: Representer, x: float, x0: float, m: int, state: ProductState) ->
         value, a, b = state.value / den, state.lower / den, state.upper / den
     if value == 0.0 and state.value != 0.0:
         raise NonFiniteError(f"f({x!r}) underflows to 0 from f({x0!r}) = {state.value!r}", x=x, value=value)
+    if 0.0 < abs(value) < sys.float_info.min:
+        raise NonFiniteError(f"f({x!r}) = {value!r} is subnormal, short of double precision",
+                             x=x, value=value)
     return replace(state, value=value, lower=min(a, b), upper=max(a, b))
 
 
@@ -333,8 +380,11 @@ def sandwich_bounds(g: Representer, x: float, n: int) -> tuple[float, float]:
     if n < 2:
         raise ValueError("n must be >= 2")
     log_pn = _log_terms(g, x, 0, n)
-    log_pn1, log_gx, _ = _sandwich_logs(g, x, n, log_pn, g(float(n)), g(x + float(n)))
-    return math.exp(log_pn1 + log_gx), math.exp(log_pn + log_gx)
+    g_n, g_xn = g(float(n)), g(x + float(n))
+    if not (g_n > 0.0 and g_xn >= POLE_TOL):
+        _log_terms(g, x, n, n + 1)  # raises the k = n term's PoleError or NonPositiveError
+    log_gx = x * math.log(g_n)
+    return math.exp(log_pn + (math.log(g_n) - math.log(g_xn)) + log_gx), math.exp(log_pn + log_gx)
 
 
 def evaluate(g: Representer, x: float, tol: float = DEFAULT_TOL,
@@ -349,7 +399,7 @@ def evaluate(g: Representer, x: float, tol: float = DEFAULT_TOL,
     if not (x > 0.0):
         raise DomainError(f"evaluate needs x > 0, got {x!r}")
     x0, m = reduce_to_base(x)
-    return _scaled(g, x, x0, m, _base_state(g, x0, m, tol, max_n))
+    return _scaled(g, x, x0, m, *_base_state(g, x0, m, tol, max_n))
 
 
 def extended_state(g: Representer, x: float, tol: float = DEFAULT_TOL,
@@ -365,9 +415,10 @@ def extended_state(g: Representer, x: float, tol: float = DEFAULT_TOL,
     x0, m = reduce_to_base(x)
     if x0 != 1.0 and m >= 0:
         return evaluate(g, x, tol, max_n)
-    state = _base_state(g, x0, m, tol, max_n) if x0 != 1.0 else ProductState(
-        n=0, p_n=1.0, lower=1.0, upper=1.0, value=1.0, rel_gap=0.0, converged=True)
-    return _scaled(g, x, x0, m, state)
+    if x0 == 1.0:
+        return _scaled(g, x, x0, m, ProductState(n=0, p_n=1.0, lower=1.0, upper=1.0, value=1.0,
+                                                 rel_gap=0.0, converged=True))
+    return _scaled(g, x, x0, m, *_base_state(g, x0, m, tol, max_n))
 
 
 def extend(g: Representer, x: float, tol: float = DEFAULT_TOL,
@@ -400,10 +451,10 @@ def _series_terms(g: Representer, us: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return (d1 * d1) / (gv * gv) - d2 / gv, d1 / gv
 
 
-def _gregory_tail(g: Representer, x: float, k: int, h_ref: float,
+def _gregory_tail(h: np.ndarray, dlog: np.ndarray, h_ref: float,
                   dlog_ref: float) -> tuple[float, float] | None:
     """Gregory's sum_{j>=k} h(x+j) = (log g)'(x+k) + sum_{j=1..p} G_j Delta^{j-1} h(x+k),
-    with |G_{p+1} Delta^p h(x+k)| as its error, from h at x+k .. x+k+2p.
+    with |G_{p+1} Delta^p h(x+k)| as its error, from h and (log g)' at x+k .. x+k+2p.
 
     None where the formula's hypothesis is not seen: |h| and |(log g)'| at x+k
     must be 0 or at most SHRINK times ``h_ref`` and ``dlog_ref``, their
@@ -411,7 +462,6 @@ def _gregory_tail(g: Representer, x: float, k: int, h_ref: float,
     x+k .. x+k+p. The integral of h from x+k on is (log g)'(x+k) only where
     (log g)' vanishes at infinity.
     """
-    h, dlog = _series_terms(g, x + np.arange(k, k + 2 * ORDER + 1, dtype=float))
     h0, dlog0 = abs(float(h[0])), float(dlog[0])
     if not ((h0 == 0.0 or h0 <= SHRINK * h_ref)
             and (dlog0 == 0.0 or abs(dlog0) <= SHRINK * dlog_ref)):
@@ -430,9 +480,9 @@ def logconvexity_series(g: Representer, x: float, tol: float = 1e-8) -> float:
 
     Terms are summed in chunks of 64, 128, ..., 65536. After each chunk, k
     terms in, Gregory's formula gives the rest of the series in closed form
-    (``_gregory_tail``), where its hypothesis is seen: |h| and |(log g)'|
-    shrink from x + k/2 (or the chunk's first point, if later) to x + k, and
-    Delta^4 h keeps one sign. There the sum stops at the first chunk whose
+    from the 2p+1 points after the chunk (``_gregory_tail``), where its
+    hypothesis is seen: |h| and |(log g)'| shrink from x + k/2 (or the
+    chunk's first point, if later) to x + k, and Delta^4 h keeps one sign. There the sum stops at the first chunk whose
     error estimate |G_5 Delta^4 h(x+k)| is within the rounding allowance
     (k+1) eps sum|h| of the k terms, and the sum plus the Gregory tail is
     returned if estimate plus allowance meet ``tol`` relative to
@@ -445,6 +495,12 @@ def logconvexity_series(g: Representer, x: float, tol: float = 1e-8) -> float:
     magnitudes fail to decrease over 64 consecutive indices, before any point
     past the chunk is evaluated; ToleranceNotMet when the term budget runs
     out first.
+
+    One call each of g, g' and g'' gives a chunk's terms and the points after
+    it. Where that call meets a fault (an exception or a floating-point
+    signal), the chunk is evaluated alone and the points after it only once
+    the chunk has passed its checks, so every exception and warning is the
+    one the chunk and its points raise in that order.
     """
     if not (x > 0.0):
         raise DomainError(f"series needs x > 0, got {x!r}")
@@ -456,7 +512,13 @@ def logconvexity_series(g: Representer, x: float, tol: float = 1e-8) -> float:
     prev_last_abs = None
     while k < SERIES_BUDGET:
         size = min(chunk, SERIES_BUDGET - k)
-        terms, dlog = _series_terms(g, x + np.arange(k, k + size, dtype=float))
+        us = x + np.arange(k, k + size + 2 * ORDER + 1, dtype=float)
+        try:
+            with np.errstate(all="raise"):
+                h, dlog = _series_terms(g, us)
+        except Exception:  # replayed below in the order of the checks
+            h, dlog = _series_terms(g, us[:size])
+        terms = h[:size]
         total += float(np.sum(terms))
         abs_terms = np.abs(terms)
         abs_total += float(np.sum(abs_terms))
@@ -474,7 +536,8 @@ def logconvexity_series(g: Representer, x: float, tol: float = 1e-8) -> float:
                          and (prev_last_abs is None or abs_terms[0] >= prev_last_abs * (1.0 - 1e-12))):
             raise SeriesDivergence(
                 f"series terms non-decreasing over {size} consecutive k near k={k}")
-        gregory = _gregory_tail(g, x, k, float(abs_terms[ref]), abs(float(dlog[ref])))
+        after = (h[size:], dlog[size:]) if h.size > size else _series_terms(g, us[size:])
+        gregory = _gregory_tail(*after, float(abs_terms[ref]), abs(float(dlog[ref])))
         if gregory is None:
             if fits:
                 return total + tail

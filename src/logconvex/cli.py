@@ -9,6 +9,9 @@
 Exit codes: 0 success, 1 check failure, 2 parse/config error, 3 divergence,
 4 partial evaluation failure. Identical invocations produce byte-identical
 standard output.
+
+Each command imports, inside its own function, the modules that only it
+needs: ``eval`` runs on the product engine alone.
 """
 
 from __future__ import annotations
@@ -22,11 +25,8 @@ import sys
 import numpy as np
 
 from . import bohrmollerup as bm
-from .acceptance import run_checks
-from .convexity import d2_log, q_determinant, stencil
 from .errors import DivergenceError, LogconvexError
 from .representer import from_spec
-from .special import fib_real_fn
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -139,6 +139,9 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def _report_rows_function(ns: argparse.Namespace) -> list[dict]:
+    from .convexity import d2_log, q_determinant
+    from .special import fib_real_fn
+
     f = fib_real_fn()
     a, b, n = ns.range_
     rows = []
@@ -159,6 +162,8 @@ def _report_rows_function(ns: argparse.Namespace) -> list[dict]:
 
 
 def _report_rows_representer(ns: argparse.Namespace) -> list[dict]:
+    from .convexity import stencil
+
     g = from_spec(ns.representer_spec)
     a, b, n = ns.range_
     step = (b - a) / (n - 1)
@@ -199,6 +204,8 @@ def cmd_report(ns: argparse.Namespace) -> int:
 
 
 def cmd_checks(ns: argparse.Namespace) -> int:
+    from .acceptance import run_checks
+
     results = run_checks(only=ns.only, tol=ns.tol, seed=ns.seed)
     _emit(json.dumps([r.to_dict() for r in results], indent=2) + "\n", ns.out_path)
     if not results:

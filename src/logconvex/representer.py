@@ -13,7 +13,6 @@ import numpy as np
 from . import expr as ex
 from .errors import NonPositiveError, PoleError, ZeroDerivative
 from .funcore import RealFunction
-from .special import fib_real_fn
 
 _INF = math.inf
 
@@ -125,6 +124,8 @@ def builtin(name: str, c: float | None = None, v: float | None = None) -> Repres
         return Representer(fn=function_from_ast(tree, name=f"constant({v})"),
                            positivity_domain=(-_INF, _INF), name=f"constant({v})", ast=tree)
     if name == "fibonacci":
+        from .special import fib_real_fn  # imported here: only this builtin needs special
+
         # g = u/v with u(x) = fib_real(x+1), v(x) = fib_real(x) and the exact Binet derivatives
         fib = fib_real_fn()
         fn = _quotient(fib.shifted(1.0), fib, _fib_pole_check, name="fibonacci")

@@ -46,6 +46,12 @@ def hurwitz_zeta2(x, terms=200_000):
     return partial + 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
+def order_p_terms(g, x0, n):
+    """(tail, bound, Delta log g(n), one sign) of the product's level n at x0."""
+    win = g.values(n + np.arange(2 * bm.ORDER + 1, dtype=float))
+    return bm._level_terms(x0, bm._coefficients(x0), win[:, None], g.values([x0 + n]))[0][:4]
+
+
 class TestReduceToBase:
     @pytest.mark.parametrize("x,x0,m", [
         (5.0, 1.0, 4), (0.5, 0.5, 0), (1.0, 1.0, 0), (-0.5, 0.5, -1),
@@ -186,8 +192,8 @@ class TestEvaluate:
         """Delta^p log g = 0 for exp(x), but Delta log g(n) = 1 never shrinks, so the
         order-p bound is never trusted and the stall check still fires."""
         g = parse_representer("exp(x)")
-        tail = bm._gauss_tail(x % 1.0, g.values(16.0 + np.arange(2 * bm.ORDER + 1)).tolist())
-        assert tail[1] <= 1e-13 and tail[2] == pytest.approx(1.0) and tail[3]
+        _, bound, d1, one_sign = order_p_terms(g, x % 1.0, 16)
+        assert bound <= 1e-13 and d1 == pytest.approx(1.0) and one_sign
         with pytest.raises(DivergenceError):
             evaluate(g, x, tol=tol)
 
@@ -218,8 +224,7 @@ class TestEvaluate:
         assert abs(state.value - want) <= 1e-12 * abs(want)
         assert state.lower <= want <= state.upper
         x0, _ = reduce_to_base(x)
-        vals = g.values(state.n + np.arange(2 * bm.ORDER + 1, dtype=float)).tolist()
-        assert not bm._gauss_tail(x0, vals)[3]
+        assert not order_p_terms(g, x0, state.n)[3]
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
@@ -297,8 +302,17 @@ class TestExtend:
         for g, x in ((IDENTITY, -200.5), (half, 1500.5)):
             with pytest.raises(NonFiniteError, match="underflows to 0"):
                 extended_state(g, x)
-        # a subnormal value is still a value
-        assert extended_state(half, 1070.5).value == 0.5 ** 1069.5 > 0.0
+
+    def test_a_subnormal_value_is_not_a_converged_value(self):
+        """0.5^1069.5 is 1.118e-322 (mpmath); as a subnormal it reads 1.14e-322, outside
+        its own bracket. The last normal values on either side still return."""
+        half, two = builtin("constant", v=0.5), builtin("constant", v=2.0)
+        for g, x in ((half, 1070.5), (half, 1023.5), (two, -1021.5)):
+            with pytest.raises(NonFiniteError, match="is subnormal"):
+                extended_state(g, x)
+        for g, x, want in ((half, 1022.5, 0.5 ** 1021.5), (two, -1020.5, 2.0 ** -1021.5)):
+            state = extended_state(g, x)
+            assert state.converged and state.value == pytest.approx(want, rel=1e-13)
 
     def test_shift_chain_memory_is_bounded(self):
         g = builtin("constant", v=2.0)

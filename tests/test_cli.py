@@ -126,6 +126,13 @@ class TestEval:
         assert out == ""
         assert "underflows" in err
 
+    def test_subnormal_value_exits_4(self, capsys):
+        # 0.5^1069.5 is a subnormal double, with fewer bits than its bracket claims
+        code, out, err = run_cli(capsys, "eval", "--representer", "const:0.5", "--x", "1070.5")
+        assert code == 4
+        assert out == ""
+        assert "subnormal" in err
+
     def test_expression_representer(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--representer", "x*(x+1)",
                                "--x", "0.5", "--tol", "1e-5")
@@ -208,6 +215,15 @@ class TestReport:
         lines = out.strip().split("\n")
         assert lines[0] == "x,f,log_f,d2_log,q_det"
         assert lines[1:] == [f"{x},NA,NA,NA,NA" for x in ("-201.5", "-200.5", "-199.5")]
+
+    def test_subnormal_rows_na(self, capsys):
+        # 0.5^(x-1) is normal at 1022.5 and subnormal from 1023.5 on
+        code, out, _ = run_cli(capsys, "report", "--representer", "const:0.5",
+                               "--range", "1022.5", "1024.5", "3")
+        assert code == 4
+        lines = out.strip().split("\n")
+        assert lines[1].startswith("1022.5,3.14") and lines[1].endswith(",NA,NA")
+        assert lines[2:] == [f"{x},NA,NA,NA,NA" for x in ("1023.5", "1024.5")]
 
     def test_fib_function_report(self, capsys):
         code, out, _ = run_cli(capsys, "report", "--function", "fib",

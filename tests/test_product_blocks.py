@@ -1,11 +1,14 @@
 """The product loop's blocks: one call of g for a block of doubling levels.
 
-``_base_state`` evaluates g once for all the levels up to a block end and
-walks the levels over slices of that call. These tests hold it to the loop
-with two calls of g per level, kept here as ``reference_base_state``: the
-same state bits, the same exceptions with the same messages and attributes,
-and the same warnings, also where g fails past the level where the loop
-stops.
+``_base_state`` evaluates g once for all the levels up to a block end, takes
+the order-p and sandwich terms of those levels in one array pass, and walks
+the levels over slices of that call; the forward scaling takes g(x0+k) from
+the first block. These tests hold it to the loop with two calls of g per
+level and scalar order-p terms, kept here as ``reference_base_state`` with
+``_gauss_tail`` and ``_sandwich_logs``, and to the forward chain's own call:
+the same state bits, the same exceptions with the same messages and
+attributes, and the same warnings, also where g fails past the level where
+the loop stops.
 """
 
 import math
@@ -16,20 +19,48 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logconvex import NonFiniteError, RealFunction, Representer, builtin, extended_state, from_spec
 from logconvex import bohrmollerup as bm
-from logconvex.bohrmollerup import CHUNK, ORDER, SHRINK, ProductState, _gauss_tail, _log_terms, _sandwich_logs
+from logconvex.bohrmollerup import CHUNK, ORDER, POLE_TOL, SHRINK, ProductState, _differences, _log_terms
 from logconvex.errors import DivergenceError
 from logconvex.funcore import EPS
 from test_rational_family import rational
 
 
-def reference_base_state(g: Representer, x0: float, m: int, tol: float, max_n: int) -> ProductState:
+def _sandwich_logs(g: Representer, x: float, n: int, log_pn: float, g_n: float,
+                   g_xn: float) -> tuple[float, float, float]:
+    """(log p_{n+1}(x), x log g(n), |g(x+n)/g(n) - 1|) from log p_n(x) and g at n and
+    x+n; the sandwich bounds are exp(log p_{n+1} + x log g(n)) and exp(log p_n + x log g(n))."""
+    if not (g_n > 0.0 and g_xn >= POLE_TOL):
+        _log_terms(g, x, n, n + 1)  # raises the k = n term's PoleError or NonPositiveError
+    return log_pn + (math.log(g_n) - math.log(g_xn)), x * math.log(g_n), abs(g_xn / g_n - 1.0)
+
+
+def _gauss_tail(x: float, vals: list[float]) -> tuple[float, float, float, bool]:
+    """The order-p terms from vals = g(n .. n+2p), one level at a time.
+
+    Returns (sum_{j=1..p} C(x, j) Delta^{j-1} log g(n), |C(x-1, p)| |Delta^p log g(n)|,
+    Delta log g(n), whether Delta^p log g keeps one sign over n .. n+p).
+    """
+    if not min(vals) > 0.0:
+        return 0.0, math.inf, math.nan, False
+    d, one_sign = _differences([math.log(v) for v in vals])
+    tail, c, c_prev = 0.0, 1.0, 1.0  # c = C(x, j), c_prev = C(x-1, j)
+    for j in range(1, ORDER + 1):
+        c *= (x - j + 1) / j
+        c_prev *= (x - j) / j
+        tail += c * d[j - 1]
+    return tail, abs(c_prev * d[ORDER]), d[1], one_sign
+
+
+def reference_base_state(g: Representer, x0: float, m: int, tol: float,
+                         max_n: int) -> tuple[ProductState, None]:
     """The product loop with two calls of g per level: each level sums the log terms of
-    [n/2, n) with ``_log_terms``, then evaluates g at n .. n+2p and x0+n."""
+    [n/2, n) with ``_log_terms``, then evaluates g at n .. n+2p and x0+n. It hands
+    the forward scaling no values of g, so the scaling makes its own call."""
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
     if max_n < 4:
@@ -74,7 +105,7 @@ def reference_base_state(g: Representer, x0: float, m: int, tol: float, max_n: i
     value = math.exp(log_value)
     return ProductState(n=n, p_n=math.exp(log_pn), lower=value * math.exp(-bound),
                         upper=value * math.exp(bound), value=value, rel_gap=rel_gap,
-                        converged=bound <= tol)
+                        converged=bound <= tol), None
 
 
 def outcome(g: Representer, x: float, tol: float = bm.DEFAULT_TOL, max_n: int = bm.DEFAULT_MAX_N):
@@ -113,6 +144,11 @@ MAX_NS = st.sampled_from([4, 5, 7, 100, 256, 300, 5000, 2 ** 20])
 class TestBlocks:
     @settings(max_examples=300, deadline=None)
     @given(FAMILIES, st.floats(-5.0, 40.0), st.floats(-12.0, -4.0).map(lambda e: 10.0 ** e), MAX_NS)
+    @example("x*(20.5-x)", 0.5, 1e-8, 2 ** 20)  # g(21 .. 24) < 0 in the window of level 16
+    @example("x*(20.5-x)", 0.5, 1e-8, 16)  # ... the last level, which returns
+    @example("identity", 0.37, 1e-8, 16)  # a first block that ends at 16
+    @example("power:c=0.5", 257.37, 1e-8, 2 ** 20)  # g(x0+k), k < 257, all from the first block
+    @example("power:c=0.5", 258.37, 1e-8, 2 ** 20)  # ... one past it: its own call
     def test_states_and_exceptions_match_two_calls_per_level(self, spec, x, tol, max_n):
         g = representer(spec)
         assert outcome(g, x, tol, max_n) == reference_outcome(g, x, tol, max_n), (spec, x, tol, max_n)
@@ -162,12 +198,34 @@ class TestBlocks:
         assert got == reference_outcome(g, 0.5, 1e-12)[0]
         assert "x=100.0 outside open domain" in got[1]
 
-    def test_one_call_of_g_for_the_default_tolerance(self, monkeypatch):
+    @pytest.mark.parametrize("x,chain", [(0.5, []), (50.37, []), (-3.5, [4])])
+    def test_one_call_of_g_for_the_default_tolerance(self, monkeypatch, x, chain):
         """Gamma(1/2) stops at n = 128: the first block (levels 4 .. 256) makes the one
-        call, where two calls per level made twelve."""
+        call, where two calls per level made twelve. The forward chain to 50.37 takes
+        its 50 factors from that call; the backward chain to -3.5 makes its own."""
         calls = []
         values = Representer.values
         monkeypatch.setattr(Representer, "values", lambda g, xs: calls.append(len(xs)) or values(g, xs))
-        state = extended_state(builtin("identity"), 0.5)
+        state = extended_state(builtin("identity"), x)
         assert state.n == 128 and state.converged
-        assert calls == [(256 + 2 * ORDER + 1) + (256 + 1)]
+        assert calls == [(256 + 2 * ORDER + 1) + (256 + 1)] + chain
+
+
+WINDOW = st.floats(1e-300, 1e300) | st.floats(-2.0, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True),
+       st.lists(st.tuples(st.floats(1e-300, 1e300), st.lists(WINDOW, min_size=2 * ORDER, max_size=2 * ORDER),
+                          st.floats(1e-300, 1e300)), min_size=1, max_size=8))
+def test_level_terms_are_the_scalar_rules_level_by_level(x0, rows):
+    """Each level of the array pass has the bits of ``_gauss_tail`` and ``_sandwich_logs``
+    on that level, also for a window that holds a non-positive value."""
+    win = np.array([[g_n, *rest] for g_n, rest, _ in rows]).T
+    gx = np.array([g_xn for _, _, g_xn in rows])
+    got = bm._level_terms(x0, bm._coefficients(x0), win, gx)
+    for row, (g_n, rest, g_xn) in zip(got, rows):
+        log_ratio, log_gx, rel_gap = _sandwich_logs(None, x0, 4, 0.0, g_n, g_xn)
+        want = (*_gauss_tail(x0, [g_n, *rest]), log_ratio, log_gx, rel_gap)
+        assert [v.hex() if isinstance(v, float) else v for v in row] == \
+            [v.hex() if isinstance(v, float) else v for v in want]
