@@ -171,8 +171,7 @@ def check_fibonacci(tol: float | None, seed: int) -> tuple[bool, str, dict, str]
     worst_rec = max(abs(sp.fib_real(x + 2.0) - sp.fib_real(x + 1.0) - sp.fib_real(float(x)))
                     for x in xs)
     changes = sp.fib_d2_signchanges(0.0, 4.0, 4000)
-    fib = sp.fib_real_fn()
-    d2_vals = [cx.d2_log(fib, float(x)) for x in np.linspace(0.1, 4.0, 400)]
+    d2_vals = cx.exact_q_d2log(sp.fib_real_fn(), np.linspace(0.1, 4.0, 400))[2]
     both_signs = min(d2_vals) < 0.0 < max(d2_vals)
     ok = worst_int <= 1e-9 and worst_rec <= 1e-10 and len(changes) == 4 and both_signs
     return ok, expected, {

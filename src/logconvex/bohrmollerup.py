@@ -445,7 +445,7 @@ def _series_terms(g: Representer, us: np.ndarray) -> tuple[np.ndarray, np.ndarra
     gv = g.values(us)
     if np.any(np.abs(gv) < POLE_TOL):
         i = int(np.flatnonzero(np.abs(gv) < POLE_TOL)[0])
-        raise ZeroValueError(f"g vanishes at x+k={us[i]!r}")
+        raise ZeroValueError(f"g vanishes at x+k={float(us[i])!r}")
     d1 = g.d1_values(us)
     d2 = g.d2_values(us)
     return (d1 * d1) / (gv * gv) - d2 / gv, d1 / gv

@@ -139,25 +139,16 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def _report_rows_function(ns: argparse.Namespace) -> list[dict]:
-    from .convexity import d2_log, q_determinant
+    from .convexity import exact_q_d2log
     from .special import fib_real_fn
 
-    f = fib_real_fn()
     a, b, n = ns.range_
+    xs = [a + (b - a) * i / (n - 1) for i in range(n)]
     rows = []
-    for i in range(n):
-        x = a + (b - a) * i / (n - 1)
-        row = {"x": x, "f": None, "log_f": None, "d2_log": None, "q_det": None}
-        try:
-            fv = f(x)
-            row["f"] = fv
-            row["q_det"] = q_determinant(f, x)
-            if fv > 0.0:
-                row["log_f"] = math.log(fv)
-                row["d2_log"] = d2_log(f, x)
-        except LogconvexError:
-            pass
-        rows.append(row)
+    for x, fv, q, d2 in zip(xs, *exact_q_d2log(fib_real_fn(), np.array(xs))):
+        logged = q is not None and fv > 0.0
+        rows.append({"x": x, "f": fv if math.isfinite(fv) else None, "log_f": math.log(fv) if logged else None,
+                     "d2_log": d2 if logged else None, "q_det": q})
     return rows
 
 

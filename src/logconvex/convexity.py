@@ -198,25 +198,16 @@ def scan_convexity(f: RealFunction, a: float, b: float, n: int, h: float | None 
     """Sample q(f) and (log f)'' on a uniform n-point grid of [a, b].
 
     Points where evaluation raises one of EVALUATION_ERRORS are recorded as
-    gaps and force an Inconclusive verdict. With exact derivatives, f, f' and
-    f'' are taken at every point (``_exact_values``); a point's q is a gap where
-    f is not finite or |f| < 1e-300, and its (log f)'' where f is not finite,
-    f <= 0 or f*f == 0. Without them, ``q_determinant`` and ``d2_log`` run at
-    each point on central differences of step ``h``.
+    gaps and force an Inconclusive verdict. With exact derivatives the
+    samples come from ``exact_q_d2log``; without them, ``q_determinant`` and
+    ``d2_log`` run at each point on central differences of step ``h``.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     xs = np.linspace(a, b, n)
     if f.d1 is not None and f.d2 is not None:
-        fv, f1, f2 = _exact_values(f, xs)
-        # ignore: inf and nan pass silently, as in the per-point float arithmetic
-        with np.errstate(all="ignore"):
-            fsq = fv * fv
-            q = fv * f2 - f1 * f1
-            d2 = (f2 * fv - f1 * f1) / fsq
-        bad = ~np.isfinite(fv)
-        return build_report(xs, _with_gaps(q, bad | (np.abs(fv) < 1e-300)),
-                            _with_gaps(d2, bad | (fv <= 0.0) | (fsq == 0.0)))
+        _, q_vals, d2_vals = exact_q_d2log(f, xs)
+        return build_report(xs, q_vals, d2_vals)
     q_vals: list[float | None] = []
     d2_vals: list[float | None] = []
     for x in xs:
@@ -229,6 +220,26 @@ def scan_convexity(f: RealFunction, a: float, b: float, n: int, h: float | None 
         except EVALUATION_ERRORS:
             d2_vals.append(None)
     return build_report(xs, q_vals, d2_vals)
+
+
+def exact_q_d2log(f: RealFunction, xs: np.ndarray) -> tuple[list[float], list[float | None], list[float | None]]:
+    """f, q = f f'' - f'^2 and (log f)'' = (f'' f - f'^2)/(f f) at every x, for f
+    with exact derivatives; f, f' and f'' come from ``_exact_values``.
+
+    f is nan where a call raises. A point's q is a gap (None) where f is not
+    finite or |f| < 1e-300, and its (log f)'' where f is not finite, f <= 0 or
+    f*f == 0. Each value has the bits ``q_determinant`` and ``d2_log`` give at
+    that point.
+    """
+    fv, f1, f2 = _exact_values(f, xs)
+    # ignore: inf and nan pass silently, as in the per-point float arithmetic
+    with np.errstate(all="ignore"):
+        fsq = fv * fv
+        q = fv * f2 - f1 * f1
+        d2 = (f2 * fv - f1 * f1) / fsq
+    bad = ~np.isfinite(fv)
+    return (fv.tolist(), _with_gaps(q, bad | (np.abs(fv) < 1e-300)),
+            _with_gaps(d2, bad | (fv <= 0.0) | (fsq == 0.0)))
 
 
 def _with_gaps(values: np.ndarray, gap: np.ndarray) -> list[float | None]:

@@ -75,10 +75,10 @@ class Binary(Expr):
 
 
 # --------------------------------------------------------------------------
-# Operators, each defined once: the parser accepts the unary names, _eval
-# and compile_expr apply the functions (with their real-domain guards),
-# differentiate the derivative rules, and simplify folds constants through
-# _eval.
+# Operators, each defined once: the parser accepts the unary names,
+# compile_expr applies the functions (with their real-domain guards),
+# differentiate the derivative rules, and simplify folds constants with the
+# same functions.
 # --------------------------------------------------------------------------
 
 # Each guard takes a scalar branch for float operands: the same checks and the
@@ -362,12 +362,12 @@ def _is_int_valued(v: float) -> bool:
 
 
 def evaluate(node: Expr, x):
-    """Evaluate ``node`` at scalar or ndarray ``x`` on the real branch.
+    """Evaluate ``node`` at scalar or ndarray ``x`` on the real branch: ``compile_expr(node)(x)``.
 
     Raises DomainError for log/sqrt outside their real domains, for division
     by zero and for ``u^v`` with negative base and non-integer exponent.
     """
-    return _shaped(_eval(node, x), x)
+    return compile_expr(node)(x)
 
 
 def _shaped(v, x):
@@ -377,29 +377,15 @@ def _shaped(v, x):
     return v
 
 
-def _eval(node: Expr, x):
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Param):
-        raise UnboundParameter({node.name})
-    if isinstance(node, Unary):
-        return _UNARY[node.op](_eval(node.arg, x))
-    if isinstance(node, Binary):
-        return _BINARY[node.op](_eval(node.lhs, x), _eval(node.rhs, x))
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 def compile_expr(node: Expr) -> Callable:
-    """``node`` as a function of x returning exactly what ``evaluate(node, x)`` returns.
+    """``node`` as a function of x, scalar or ndarray; an array x gives an array of its shape.
 
     The body is straight-line code with one line per distinct subtree. Each
-    line calls the operator function the tree walk calls, in the tree walk's
-    depth-first, left-to-right order, so every value has the same bits and the
-    first guard to raise is the same one. Operator functions and constants are
-    closure variables, so the source depends only on the tree's shape and
-    trees of one shape share one compiled code object.
+    line calls its node's operator function (``_UNARY`` or ``_BINARY``) in
+    depth-first, left-to-right order, so the first guard to raise is the one
+    a recursive evaluation of the tree would reach first. Operator functions
+    and constants are closure variables, so the source depends only on the
+    tree's shape and trees of one shape share one compiled code object.
 
     Raises UnboundParameter for a tree with a free parameter, as
     ``differentiate`` does.
@@ -565,7 +551,10 @@ def _folded(node: Expr) -> Expr:
     """``node``, whose operands are constants, as the Const it evaluates to, if finite."""
     try:
         with np.errstate(all="ignore"):
-            v = float(_eval(node, 0.0))
+            if isinstance(node, Unary):
+                v = float(_UNARY[node.op](node.arg.value))
+            else:
+                v = float(_BINARY[node.op](node.lhs.value, node.rhs.value))
     except DomainError:
         return node
     return Const(v) if math.isfinite(v) else node

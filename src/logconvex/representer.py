@@ -91,17 +91,16 @@ def function_from_ast(tree: ex.Expr, domain: tuple[float, float] = (-_INF, _INF)
 
 
 def parse_representer(src: str, params: dict[str, float] | None = None,
-                      positivity_domain: tuple[float, float] = (0.0, _INF),
-                      name: str = "") -> Representer:
-    """Parse ``src`` (substituting ``params``) into a representer.
+                      positivity_domain: tuple[float, float] = (0.0, _INF)) -> Representer:
+    """Parse ``src`` (substituting ``params``) into a representer named ``src.strip()``.
 
     Exact d1/d2 come from symbolic differentiation; positivity over
     ``positivity_domain`` is spot-checked at construction.
     """
     tree = ex.simplify(ex.parse(src, params))
-    fn = function_from_ast(tree, name=name or src.strip())
-    return Representer(fn=fn, positivity_domain=positivity_domain,
-                       name=name or src.strip(), ast=tree)
+    name = src.strip()
+    return Representer(fn=function_from_ast(tree, name=name), positivity_domain=positivity_domain,
+                       name=name, ast=tree)
 
 
 def builtin(name: str, c: float | None = None, v: float | None = None) -> Representer:

@@ -17,6 +17,7 @@ from logconvex import (
     Representer,
     SeriesDivergence,
     ToleranceNotMet,
+    ZeroValueError,
     builtin,
     d2_log,
     evaluate,
@@ -384,6 +385,12 @@ class TestLogconvexitySeries:
         g = parse_representer("exp(x^2/500)")  # terms are the constant -1/250
         with pytest.raises(SeriesDivergence, match="over 64 consecutive k near k=64$"):
             logconvexity_series(g, 0.5, tol=1e-8)
+
+    def test_vanishing_g_is_named_by_a_plain_float(self):
+        # x^-130 is below POLE_TOL from x+k = 203.5 on; the chunk before it sums nan terms
+        with np.errstate(all="ignore"), pytest.raises(ZeroValueError) as err:
+            logconvexity_series(from_spec("x^-130"), 0.5, 1e-8)
+        assert str(err.value) == "g vanishes at x+k=203.5"
 
     def test_identity_at_one_reaches_1e_12_in_few_terms(self, monkeypatch):
         """The Gregory tail meets tol 1e-8, which the k^-2 model missed after 2^24 terms."""

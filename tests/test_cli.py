@@ -14,7 +14,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import logconvex
+import logconvex.cli
+from logconvex import LogconvexError
 from logconvex.cli import main
+from logconvex.convexity import d2_log, q_determinant
+from logconvex.special import fib_real_fn
 from test_expr import TREES
 
 SQRT_PI = math.sqrt(math.pi)
@@ -37,6 +41,28 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def reference_function_rows(ns) -> list[dict]:
+    """The rows of ``report --function fib`` from ``q_determinant`` and ``d2_log``,
+    called point by point."""
+    f = fib_real_fn()
+    a, b, n = ns.range_
+    rows = []
+    for i in range(n):
+        x = a + (b - a) * i / (n - 1)
+        row = {"x": x, "f": None, "log_f": None, "d2_log": None, "q_det": None}
+        try:
+            fv = f(x)
+            row["f"] = fv
+            row["q_det"] = q_determinant(f, x)
+            if fv > 0.0:
+                row["log_f"] = math.log(fv)
+                row["d2_log"] = d2_log(f, x)
+        except LogconvexError:
+            pass
+        rows.append(row)
+    return rows
 
 
 class TestEval:
@@ -236,6 +262,22 @@ class TestReport:
         changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
         assert min(d2) < 0.0 < max(d2)
         assert changes == 3  # (log f)'' crosses 3 times; f'' itself crosses 4 times
+
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    @pytest.mark.parametrize("a,b,n", [("0.1", "4.0", "512"), ("-10", "10", "4001"), ("-745", "745", "3001"),
+                                       ("0", "1", "2"), ("-1e300", "1e300", "3")])
+    def test_fib_rows_match_the_per_point_loop(self, capsys, monkeypatch, a, b, n, output):
+        """The grid rule prints the bytes and exits with the code of q_determinant and
+        d2_log called point by point. At -1e300, phi^x underflows and the grid call
+        divides by zero, which the CLI's errstate does not ignore: each point is then
+        evaluated alone. Warnings are ignored: only stdout and the exit code are compared."""
+        argv = ("report", "--function", "fib", "--range", a, b, n, "--output", output)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = run_cli(capsys, *argv)
+            monkeypatch.setattr(logconvex.cli, "_report_rows_function", reference_function_rows)
+            want = run_cli(capsys, *argv)
+        assert got[:2] == want[:2]
 
     def test_json_rows(self, capsys):
         code, out, _ = run_cli(capsys, "report", "--function", "fib",

@@ -24,7 +24,6 @@ from logconvex import (
     scan_convexity,
     weak_convexity_test,
 )
-import logconvex.expr as ex
 from logconvex.convexity import (
     EVALUATION_ERRORS,
     INCONCLUSIVE,
@@ -403,15 +402,6 @@ class TestOneEvaluationPerPoint:
                 want = two_call_scan(f, -1.5, 1.5, 17)
             assert calls["fn"] == fn_calls, errstate
             assert repr(report) == repr(want), errstate
-
-    def test_parsed_function_never_walks_its_tree(self, monkeypatch):
-        f = function_from_source("exp(-x^2/2)*sqrt(x^2+1)")
-        walks = []
-        walk = ex._eval
-        monkeypatch.setattr(ex, "_eval", lambda node, x: walks.append(node) or walk(node, x))
-        report = scan_convexity(f, 0.5, 2.5, 33)
-        assert report.verdict == NOT_LOG_CONVEX
-        assert walks == []
 
 
 def _function_or_none(tree):

@@ -1,4 +1,10 @@
-"""Expression grammar, symbolic differentiation, pretty-printing, compilation."""
+"""Expression grammar, symbolic differentiation, pretty-printing, compilation.
+
+The library evaluates an expression only through ``compile_expr``.
+``tree_walk`` below, a recursive evaluation calling the same operator
+functions, is the reference the compiled code and constant folding are held
+to.
+"""
 
 import contextlib
 import copy
@@ -17,6 +23,24 @@ from logconvex.acceptance import MALFORMED_CASES, ROUND_TRIP_CORPUS
 from logconvex.representer import function_from_source
 
 PARAMS = {"c": 2.0}
+
+
+def tree_walk(node: ex.Expr, x):
+    """``node`` at ``x`` by recursive descent, the operands left to right; an array
+    ``x`` gives an array of its shape."""
+    return ex._shaped(_walk(node, x), x)
+
+
+def _walk(node: ex.Expr, x):
+    if isinstance(node, ex.Const):
+        return node.value
+    if isinstance(node, ex.Var):
+        return x
+    if isinstance(node, ex.Param):
+        raise UnboundParameter({node.name})
+    if isinstance(node, ex.Unary):
+        return ex._UNARY[node.op](_walk(node.arg, x))
+    return ex._BINARY[node.op](_walk(node.lhs, x), _walk(node.rhs, x))
 
 
 class TestGrammar:
@@ -174,16 +198,16 @@ class TestConstantFolding:
     def test_simplify_keeps_every_finite_value(self, tree, x):
         with np.errstate(all="ignore"):
             try:
-                want = ex.evaluate(tree, x)
+                want = tree_walk(tree, x)
             except DomainError:
                 return
             if math.isfinite(want):
-                assert ex.evaluate(ex.simplify(tree), x) == want
+                assert tree_walk(ex.simplify(tree), x) == want
 
     def test_folds_are_evaluations(self):
         for src in ("log(2)", "sqrt(2)", "sin(1)", "cos(1)", "exp(0.7)", "2.028^-0.467", "3/7"):
             folded = ex.simplify(ex.parse(src))
-            assert folded == ex.Const(float(ex.evaluate(ex.parse(src), 0.0)))
+            assert folded == ex.Const(float(tree_walk(ex.parse(src), 0.0)))
             assert type(folded.value) is float
 
     @pytest.mark.parametrize("src", ["0/0", "0^-1", "exp(1000)", "log(-1)", "(-8)^(1/3)",
@@ -193,7 +217,7 @@ class TestConstantFolding:
         assert not isinstance(tree, ex.Const)
         with np.errstate(all="ignore"):
             try:
-                v = ex.evaluate(tree, 0.0)
+                v = tree_walk(tree, 0.0)
             except DomainError:
                 return
         assert not math.isfinite(v)
@@ -224,11 +248,14 @@ def outcome(fn, x):
 
 
 def assert_compiled_matches_tree_walk(tree, xs):
+    """``compile_expr(tree)`` and ``ex.evaluate`` give the walk's bits or exception at every x."""
     compiled = ex.compile_expr(tree)
     for errstate in ("ignore", "raise"):
         with np.errstate(all=errstate):
             for x in list(xs) + [np.array(xs)]:
-                assert outcome(compiled, x) == outcome(lambda t: ex.evaluate(tree, t), x), (tree, x, errstate)
+                want = outcome(lambda t: tree_walk(tree, t), x)
+                assert outcome(compiled, x) == want, (tree, x, errstate)
+                assert outcome(lambda t: ex.evaluate(tree, t), x) == want, (tree, x, errstate)
 
 
 class TestCompiledExpressions:
@@ -260,7 +287,7 @@ class TestCompiledExpressions:
     def test_signed_zero_constants_stay_apart(self):
         # Const(0.0) == Const(-0.0), but 1/(-0)^3 and 1/0^3 differ in sign
         tree = ex.Binary("-", ex.Binary("^", ex.Const(-0.0), ex.Var()), ex.Binary("^", ex.Const(0.0), ex.Var()))
-        assert np.signbit(ex.compile_expr(tree)(3.0)) == np.signbit(ex.evaluate(tree, 3.0))
+        assert np.signbit(ex.compile_expr(tree)(3.0)) == np.signbit(tree_walk(tree, 3.0))
         assert np.signbit(ex.compile_expr(ex.Binary("^", ex.Const(-0.0), ex.Var()))(3.0))
 
 
