@@ -102,31 +102,34 @@ def reduce_to_base(x: float) -> tuple[float, int]:
     return x0, int(m)
 
 
-def _log_terms(g: Representer, x: float, lo: int, hi: int) -> float:
-    """sum_{lo <= k < hi} log g(k) - log g(x+k), with g(0) := 1 at the exact argument 0.
+def _log_terms(g: Representer, x: float, lo: int, hi: int, total: float = 0.0) -> float:
+    """``total`` plus sum_{lo <= k < hi} log g(k) - log g(x+k), with g(0) := 1 at the
+    exact argument 0, added one sum of at most CHUNK terms at a time.
 
     The convention covers the k=0 numerator always, and the k=0 denominator
     when x = 0. Raises PoleError at the first vanishing denominator, else
     NonPositiveError at the first k with a non-positive factor.
     """
-    ks = np.arange(lo, hi, dtype=float)
-    args = np.concatenate((ks, x + ks))
-    unit = ([0, ks.size] if x == 0.0 else [0]) if lo == 0 else []
-    args[unit] = 1.0  # the g(0) := 1 factors: a stand-in argument inside g's domain
-    vals = g.values(args)
-    num, den = vals[:ks.size], vals[ks.size:]
-    if not vals.min() >= POLE_TOL:  # a vanishing or non-positive factor, or a tiny numerator
-        tiny = np.abs(den) < POLE_TOL
-        if np.any(tiny):
-            k = lo + int(np.argmax(tiny))
-            raise PoleError(f"g(x+k) vanishes at k={k} (x+k={x + k!r})", point=x + k, k=k)
-        if not (np.all(num > 0.0) and np.all(den > 0.0)):
-            k = lo + int(np.argmax((num <= 0.0) | (den <= 0.0)))
-            raise NonPositiveError(f"representer must stay positive on (0, inf); "
-                                   f"g(k) or g(x+k) <= 0 at k={k} (x={x!r})")
-    logs = np.log(vals)
-    logs[unit] = 0.0
-    return float(np.sum(logs[:ks.size] - logs[ks.size:]))
+    for start in range(lo, hi, CHUNK):
+        ks = np.arange(start, min(start + CHUNK, hi), dtype=float)
+        args = np.concatenate((ks, x + ks))
+        unit = ([0, ks.size] if x == 0.0 else [0]) if start == 0 else []
+        args[unit] = 1.0  # the g(0) := 1 factors: a stand-in argument inside g's domain
+        vals = g.values(args)
+        num, den = vals[:ks.size], vals[ks.size:]
+        if not vals.min() >= POLE_TOL:  # a vanishing or non-positive factor, or a tiny numerator
+            tiny = np.abs(den) < POLE_TOL
+            if np.any(tiny):
+                k = start + int(np.argmax(tiny))
+                raise PoleError(f"g(x+k) vanishes at k={k} (x+k={x + k!r})", point=x + k, k=k)
+            if not (np.all(num > 0.0) and np.all(den > 0.0)):
+                k = start + int(np.argmax((num <= 0.0) | (den <= 0.0)))
+                raise NonPositiveError(f"representer must stay positive on (0, inf); "
+                                       f"g(k) or g(x+k) <= 0 at k={k} (x={x!r})")
+        logs = np.log(vals)
+        logs[unit] = 0.0
+        total += float(np.sum(logs[:ks.size] - logs[ks.size:]))
+    return total
 
 
 def _shift_product(g: Representer, x: float, count: int) -> float:
@@ -294,8 +297,7 @@ def _base_state(g: Representer, x0: float, m: int, tol: float,
             log_pn += float(np.add.reduce(log_terms[have - start:n - start]))
             tail, bound, d1, one_sign, log_ratio, log_gx, rel_gap = terms[n]
         else:
-            for lo in range(have, n, CHUNK):
-                log_pn += _log_terms(g, x0, lo, min(lo + CHUNK, n))
+            log_pn = _log_terms(g, x0, have, n, log_pn)
             # g at n .. n+2p for the order-p terms, then at x0 + n for the sandwich
             vals = g.values(np.array([*range(n, n + 2 * ORDER + 1), x0 + n], dtype=float))
             if not (vals[0] > 0.0 and vals[-1] >= POLE_TOL):
@@ -339,10 +341,10 @@ def _scaled(g: Representer, x: float, x0: float, m: int, state: ProductState,
     m >= 0 it multiplies forward, by g(x0+k) from ``forward`` where it holds
     every k < m; for m < 0 the solved form f(x) = f(x + |m|) / prod g(x + k)
     divides, raising PoleError when a factor vanishes, and NonFiniteError when
-    the product of the factors underflows to 0. NonFiniteError is also raised
-    when the value from a nonzero base value underflows to 0 or is subnormal,
-    where it carries fewer bits than the bounds claim. Bounds swap when the
-    scale is negative, as for Gamma on (-1, 0)."""
+    the product of the factors underflows to 0. The product's one float-range
+    rule: NonFiniteError where the value or a bound is not finite, or the value
+    from a nonzero base value underflows to 0 or is subnormal (fewer bits than
+    the bounds claim). Bounds swap for a negative scale, as Gamma's on (-1, 0)."""
     if m >= 0:
         if forward is not None and m <= forward.size:
             factor = math.prod(forward[:m].tolist(), start=1.0)
@@ -359,6 +361,8 @@ def _scaled(g: Representer, x: float, x0: float, m: int, state: ProductState,
     if 0.0 < abs(value) < sys.float_info.min:
         raise NonFiniteError(f"f({x!r}) = {value!r} is subnormal, short of double precision",
                              x=x, value=value)
+    if not (math.isfinite(value) and math.isfinite(a) and math.isfinite(b)):
+        raise NonFiniteError(f"f({x!r}) = {value!r} or its bracket leaves float range", x=x, value=value)
     return replace(state, value=value, lower=min(a, b), upper=max(a, b))
 
 
@@ -441,14 +445,24 @@ def interpolation_targets(g: Representer, n_max: int) -> list[InterpolationTarge
 
 def _series_terms(g: Representer, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """h = (g'/g)^2 - g''/g = -(log g)'' and (log g)' = g'/g at ``us``; raises
-    ZeroValueError where g vanishes."""
+    ZeroValueError where g vanishes. h is g'^2/(g g) - g''/g, except where g g is
+    subnormal or 0: there it squares g'/g, whose bits g g has lost."""
     gv = g.values(us)
-    if np.any(np.abs(gv) < POLE_TOL):
+    least = float(np.fmin.reduce(np.abs(gv), initial=math.inf))  # skips nan, as comparisons do
+    if least < POLE_TOL:
         i = int(np.flatnonzero(np.abs(gv) < POLE_TOL)[0])
         raise ZeroValueError(f"g vanishes at x+k={float(us[i])!r}")
     d1 = g.d1_values(us)
     d2 = g.d2_values(us)
-    return (d1 * d1) / (gv * gv) - d2 / gv, d1 / gv
+    gg = gv * gv
+    low = None
+    if least * least < sys.float_info.min:  # the least g g, so some g g is subnormal or 0
+        low = gg < sys.float_info.min
+        gg[low] = 1.0  # no division by 0: these terms are replaced below
+    h = (d1 * d1) / gg - d2 / gv
+    if low is not None:
+        h[low] = (d1[low] / gv[low]) ** 2 - d2[low] / gv[low]
+    return h, d1 / gv
 
 
 def _gregory_tail(h: np.ndarray, dlog: np.ndarray, h_ref: float,

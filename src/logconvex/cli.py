@@ -123,8 +123,6 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         return _fail(exc, EXIT_DIVERGENCE)
     except LogconvexError as exc:
         return _fail(exc, EXIT_PARTIAL)
-    if not math.isfinite(state.value):
-        return _fail(f"non-finite value {state.value!r} at x={ns.x!r}", EXIT_PARTIAL)
     fields = {
         "x": ns.x,
         "value": state.value,
@@ -138,18 +136,22 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _row(x: float, f: float | None, q: float | None, d2: float | None) -> dict:
+    """One ``report`` row: ``convexity.finite``'s gaps are None, and log_f is log f where f > 0."""
+    from .convexity import finite
+
+    f = finite(f)
+    return {"x": x, "f": f, "log_f": math.log(f) if f is not None and f > 0.0 else None,
+            "d2_log": finite(d2), "q_det": finite(q)}
+
+
 def _report_rows_function(ns: argparse.Namespace) -> list[dict]:
     from .convexity import exact_q_d2log
     from .special import fib_real_fn
 
     a, b, n = ns.range_
     xs = [a + (b - a) * i / (n - 1) for i in range(n)]
-    rows = []
-    for x, fv, q, d2 in zip(xs, *exact_q_d2log(fib_real_fn(), np.array(xs))):
-        logged = q is not None and fv > 0.0
-        rows.append({"x": x, "f": fv if math.isfinite(fv) else None, "log_f": math.log(fv) if logged else None,
-                     "d2_log": d2 if logged else None, "q_det": q})
-    return rows
+    return list(map(_row, xs, *exact_q_d2log(fib_real_fn(), np.array(xs))))
 
 
 def _report_rows_representer(ns: argparse.Namespace) -> list[dict]:
@@ -165,20 +167,16 @@ def _report_rows_representer(ns: argparse.Namespace) -> list[dict]:
     for i in range(-1, n + 1):
         x = a + step * i
         try:
-            v = bm.extend(g, x, tol=ns.tol, max_n=ns.max_n)
-            samples.append(v if math.isfinite(v) else None)
+            samples.append(bm.extend(g, x, tol=ns.tol, max_n=ns.max_n))
         except LogconvexError:
             samples.append(None)
     rows = []
     for i in range(n):
-        x = a + step * i
         fv, left, right = samples[i + 1], samples[i], samples[i + 2]
-        row = {"x": x, "f": fv, "log_f": None, "d2_log": None, "q_det": None}
-        if fv is not None and fv > 0.0:
-            row["log_f"] = math.log(fv)
+        q = d2 = None
         if fv is not None and left is not None and right is not None:
-            row["q_det"], row["d2_log"] = stencil(left, fv, right, step)
-        rows.append(row)
+            q, d2 = stencil(left, fv, right, step)
+        rows.append(_row(a + step * i, fv, q, d2))
     return rows
 
 

@@ -120,7 +120,7 @@ def count_sign_changes(values: Grid) -> np.ndarray:
     Zero samples attach to the preceding sign, so tangential zeros are not
     double counted and leading zeros never produce a change.
     """
-    return np.asarray(_change_locations(values.xs, values.ys), dtype=float)
+    return np.asarray(_change_locations(values.xs, map(finite, values.ys)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -136,35 +136,37 @@ class ConvexityReport:
     min_margin: float
 
     def to_dict(self) -> dict:
-        def pair_list(pairs):
-            return [[x, (None if v is None or not math.isfinite(v) else v)] for x, v in pairs]
-
         return {
             "interval": [self.interval[0], self.interval[1]],
             "grid_n": self.grid_n,
-            "q_values": pair_list(self.q_values),
-            "d2log_values": pair_list(self.d2log_values),
+            "q_values": [[x, finite(v)] for x, v in self.q_values],
+            "d2log_values": [[x, finite(v)] for x, v in self.d2log_values],
             "sign_changes": list(self.sign_changes),
             "verdict": self.verdict,
-            "min_margin": self.min_margin if math.isfinite(self.min_margin) else None,
+            "min_margin": finite(self.min_margin),
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
 
+def finite(v: float | None) -> float | None:
+    """The gap rule of every reported sample: ``v`` where it is a finite float, else None."""
+    return v if v is not None and math.isfinite(v) else None
+
+
 def build_report(xs, q_vals, d2_vals) -> ConvexityReport:
-    """Assemble a ConvexityReport from per-point samples (None marks failures)."""
+    """Assemble a ConvexityReport from per-point samples; a sample that ``finite``
+    turns into None is a gap and forces an Inconclusive verdict."""
     xs = [float(t) for t in xs]
-    finite_d2 = [v for v in d2_vals if v is not None and math.isfinite(v)]
-    any_failed = any(v is None or not math.isfinite(v) for v in d2_vals)
+    q_vals, d2_vals = list(map(finite, q_vals)), list(map(finite, d2_vals))
     sign_changes = sorted(set(_change_locations(xs, d2_vals)) | set(_change_locations(xs, q_vals)))
-    if not finite_d2 or any_failed:
+    known_d2 = [v for v in d2_vals if v is not None]
+    min_margin = float(min(known_d2)) if known_d2 else math.nan
+    if not known_d2 or len(known_d2) < len(d2_vals):
         verdict = INCONCLUSIVE
-        min_margin = min(finite_d2) if finite_d2 else math.nan
     else:
-        min_margin = min(finite_d2)
-        tol = VERDICT_TOL_SCALE * (1.0 + abs(max(finite_d2)))
+        tol = VERDICT_TOL_SCALE * (1.0 + abs(max(known_d2)))
         verdict = LOG_CONVEX if min_margin >= -tol else NOT_LOG_CONVEX
     return ConvexityReport(
         interval=(xs[0], xs[-1]),
@@ -173,17 +175,17 @@ def build_report(xs, q_vals, d2_vals) -> ConvexityReport:
         d2log_values=list(zip(xs, d2_vals)),
         sign_changes=[float(s) for s in sign_changes],
         verdict=verdict,
-        min_margin=float(min_margin) if finite_d2 else math.nan,
+        min_margin=min_margin,
     )
 
 
 def _change_locations(xs, vals) -> list[float]:
-    """``count_sign_changes`` over paired sequences; None and non-finite samples are skipped."""
+    """``count_sign_changes`` over paired sequences whose gaps ``finite`` has made None; gaps are skipped."""
     locations = []
     prev_sign = 0
     prev_x = None
     for x, v in zip(xs, vals):
-        if v is None or not math.isfinite(v):
+        if v is None:
             continue
         if v != 0.0:
             s = 1 if v > 0.0 else -1
@@ -226,20 +228,17 @@ def exact_q_d2log(f: RealFunction, xs: np.ndarray) -> tuple[list[float], list[fl
     """f, q = f f'' - f'^2 and (log f)'' = (f'' f - f'^2)/(f f) at every x, for f
     with exact derivatives; f, f' and f'' come from ``_exact_values``.
 
-    f is nan where a call raises. A point's q is a gap (None) where f is not
-    finite or |f| < 1e-300, and its (log f)'' where f is not finite, f <= 0 or
-    f*f == 0. Each value has the bits ``q_determinant`` and ``d2_log`` give at
-    that point.
+    f is nan where a call raises. A point's q is a gap (None) where |f| < 1e-300,
+    and its (log f)'' where f <= 0: the domain gaps of ``q_determinant`` and
+    ``d2_log``, whose bits every other value has. A value is nan or infinite
+    where f is or the arithmetic leaves float range; ``finite`` makes it a gap.
     """
     fv, f1, f2 = _exact_values(f, xs)
     # ignore: inf and nan pass silently, as in the per-point float arithmetic
     with np.errstate(all="ignore"):
-        fsq = fv * fv
         q = fv * f2 - f1 * f1
-        d2 = (f2 * fv - f1 * f1) / fsq
-    bad = ~np.isfinite(fv)
-    return (fv.tolist(), _with_gaps(q, bad | (np.abs(fv) < 1e-300)),
-            _with_gaps(d2, bad | (fv <= 0.0) | (fsq == 0.0)))
+        d2 = (f2 * fv - f1 * f1) / (fv * fv)
+    return fv.tolist(), _with_gaps(q, np.abs(fv) < 1e-300), _with_gaps(d2, fv <= 0.0)
 
 
 def _with_gaps(values: np.ndarray, gap: np.ndarray) -> list[float | None]:
@@ -253,23 +252,23 @@ def _exact_values(f: RealFunction, xs: np.ndarray) -> np.ndarray:
     One call of each on the whole grid, unless the grid leaves the domain or a call
     raises: an evaluation error, a floating-point signal that ``np.geterr()`` does
     not ignore, or the TypeError of a scalar-only callable. Then each point is
-    evaluated alone.
+    evaluated alone, where such a signal also raises and makes the point nan.
     """
     lo, hi = f.domain
-    if lo < xs.min() and xs.max() < hi:
-        signals = {kind: ("ignore" if mode == "ignore" else "raise") for kind, mode in np.geterr().items()}
-        out = np.empty((3, xs.size))
-        try:
-            with np.errstate(**signals):
+    signals = {kind: ("ignore" if mode == "ignore" else "raise") for kind, mode in np.geterr().items()}
+    with np.errstate(**signals):
+        if lo < xs.min() and xs.max() < hi:
+            out = np.empty((3, xs.size))
+            try:
                 for row, fn in zip(out, (f.fn, f.d1, f.d2)):
                     row[:] = fn(xs)  # a scalar (the derivative of a constant) is broadcast
-            return out
-        except (TypeError, *EVALUATION_ERRORS):
-            pass
-    out = np.full((3, xs.size), math.nan)
-    for i, x in enumerate(xs.tolist()):
-        try:
-            out[:, i] = f(x), float(f.d1(x)), float(f.d2(x))
-        except EVALUATION_ERRORS:
-            pass
+                return out
+            except (TypeError, *EVALUATION_ERRORS):
+                pass
+        out = np.full((3, xs.size), math.nan)
+        for i, x in enumerate(xs.tolist()):
+            try:
+                out[:, i] = f(x), float(f.d1(x)), float(f.d2(x))
+            except EVALUATION_ERRORS:
+                pass
     return out

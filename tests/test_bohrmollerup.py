@@ -102,6 +102,19 @@ class TestPartialProduct:
                     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
+def test_partial_product_and_sandwich_memory_is_bounded():
+    """Both helpers sum their 2^20 terms in CHUNK-sized pieces: about 1 MB, where one
+    array over all terms took 48 MB."""
+    for helper in (partial_product, sandwich_bounds):
+        tracemalloc.start()
+        try:
+            helper(IDENTITY, 0.5, 2 ** 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20, helper.__name__
+
+
 class TestSandwichBounds:
     def test_identity_half_n3(self):
         lower, upper = sandwich_bounds(IDENTITY, 0.5, 3)
@@ -326,6 +339,13 @@ class TestExtend:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
 
+    def test_float_range_is_one_rule(self):
+        """A value or bound past float range raises NonFiniteError: Gamma(171.624...) is
+        just below the largest double, but its upper bound is not; Gamma(500.5) is inf."""
+        for x in (171.62437695621261, 500.5):
+            with pytest.raises(NonFiniteError, match="leaves float range"):
+                extended_state(IDENTITY, x)
+
     def test_shift_chain_is_one_left_to_right_product(self):
         g = builtin("power", c=0.001)
         for count in (1, bm.CHUNK - 1, bm.CHUNK, 2 * bm.CHUNK + 3):
@@ -387,10 +407,18 @@ class TestLogconvexitySeries:
             logconvexity_series(g, 0.5, tol=1e-8)
 
     def test_vanishing_g_is_named_by_a_plain_float(self):
-        # x^-130 is below POLE_TOL from x+k = 203.5 on; the chunk before it sums nan terms
-        with np.errstate(all="ignore"), pytest.raises(ZeroValueError) as err:
-            logconvexity_series(from_spec("x^-130"), 0.5, 1e-8)
+        # x^-130 is below POLE_TOL from x+k = 203.5 on, inside the first chunk from 190.5
+        with pytest.raises(ZeroValueError) as err:
+            logconvexity_series(from_spec("x^-130"), 190.5, 1e-8)
         assert str(err.value) == "g vanishes at x+k=203.5"
+
+    def test_underflowing_g_squared_keeps_the_terms(self):
+        """x^-130 squares below the smallest double from x+k = 15.5 on, where h is
+        (g'/g)^2 - g''/g: the sum is -130 psi1(1/2), with no warning (pytest makes
+        RuntimeWarnings errors)."""
+        mp = pytest.importorskip("mpmath")
+        s = logconvexity_series(from_spec("x^-130"), 0.5, 1e-8)
+        assert s == pytest.approx(float(-130 * mp.psi(1, 0.5)), rel=1e-8)
 
     def test_identity_at_one_reaches_1e_12_in_few_terms(self, monkeypatch):
         """The Gregory tail meets tol 1e-8, which the k^-2 model missed after 2^24 terms."""

@@ -45,22 +45,22 @@ def run_cli(capsys, *argv):
 
 def reference_function_rows(ns) -> list[dict]:
     """The rows of ``report --function fib`` from ``q_determinant`` and ``d2_log``,
-    called point by point."""
+    called point by point. A cell is NA where its call raises or its value is not
+    finite; log_f is log f where f > 0."""
     f = fib_real_fn()
     a, b, n = ns.range_
     rows = []
     for i in range(n):
         x = a + (b - a) * i / (n - 1)
         row = {"x": x, "f": None, "log_f": None, "d2_log": None, "q_det": None}
-        try:
-            fv = f(x)
-            row["f"] = fv
-            row["q_det"] = q_determinant(f, x)
+        with contextlib.suppress(LogconvexError):
+            row["f"] = fv = f(x)
             if fv > 0.0:
                 row["log_f"] = math.log(fv)
-                row["d2_log"] = d2_log(f, x)
-        except LogconvexError:
-            pass
+        for key, cell in (("q_det", q_determinant), ("d2_log", d2_log)):
+            with contextlib.suppress(LogconvexError):
+                v = cell(f, x)
+                row[key] = v if math.isfinite(v) else None
         rows.append(row)
     return rows
 
@@ -268,13 +268,17 @@ class TestReport:
                                        ("0", "1", "2"), ("-1e300", "1e300", "3")])
     def test_fib_rows_match_the_per_point_loop(self, capsys, monkeypatch, a, b, n, output):
         """The grid rule prints the bytes and exits with the code of q_determinant and
-        d2_log called point by point. At -1e300, phi^x underflows and the grid call
-        divides by zero, which the CLI's errstate does not ignore: each point is then
-        evaluated alone. Warnings are ignored: only stdout and the exit code are compared."""
+        d2_log called point by point, and writes nothing to stderr. At -1e300, phi^x
+        underflows and the grid call divides by zero, which the CLI's errstate does not
+        ignore: each point is then evaluated alone, under the same errstate. The
+        reference's warnings are ignored: only its stdout and exit code are compared."""
         argv = ("report", "--function", "fib", "--range", a, b, n, "--output", output)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = run_cli(capsys, *argv)
+        assert got[2] == "" and caught == []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = run_cli(capsys, *argv)
             monkeypatch.setattr(logconvex.cli, "_report_rows_function", reference_function_rows)
             want = run_cli(capsys, *argv)
         assert got[:2] == want[:2]
@@ -410,6 +414,7 @@ def cli_argv(draw):
             argv = ["eval", f"--representer={spec}", f"--x={draw(POINTS)}"]
     else:
         argv = ["report", f"--representer={spec}", "--range", draw(POINTS), draw(POINTS), draw(COUNTS)]
+    argv.append(f"--output={draw(st.sampled_from(['json', 'csv']))}")
     if draw(st.booleans()):
         argv.append(f"--tol={draw(NUMBERS)}")
     if draw(st.booleans()):
@@ -417,16 +422,37 @@ def cli_argv(draw):
     return argv
 
 
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def assert_strict_output(argv, out: str) -> None:
+    """JSON output parses without NaN or Infinity; every CSV cell is a finite number,
+    NA, or a boolean."""
+    if "--output=csv" in argv:
+        for line in out.splitlines()[1:]:
+            for cell in line.split(","):
+                assert cell in ("NA", "true", "false") or math.isfinite(float(cell)), (argv, line)
+    elif out:
+        json.loads(out, parse_constant=_not_json)
+
+
 class TestFuzz:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(cli_argv())
     @example(["eval", "--representer=x^x", "--x=-24"])
     @example(["report", "--representer=identity", "--range", "0.0", "7.462002518855719e-207", "3"])
+    @example(["eval", "--representer=identity", "--x=171.62437695621261", "--output=json"])
+    @example(["eval", "--representer=identity", "--x=171.62437695621261", "--output=csv"])
+    @example(["report", "--representer=identity", "--range", "160", "170", "3", "--output=json"])
+    @example(["report", "--function=fib", "--range", "1470", "1474", "3", "--output=csv"])
+    @example(["report", "--function=fib", "--range", "1470", "1474", "3", "--output=json"])
     def test_every_input_maps_to_a_documented_exit_code(self, argv):
         """No traceback, whatever the arguments; exit 1 (check failure) only from checks.
-        argparse ends a usage error with SystemExit(2), the config-error code."""
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        argparse ends a usage error with SystemExit(2), the config-error code. Output is
+        strict JSON or CSV: a number past float range is null or NA."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
             except SystemExit as exc:
@@ -434,3 +460,5 @@ class TestFuzz:
         allowed = {0, 1, 2} if argv[0] == "checks" else {0, 2, 3, 4}
         assert code in allowed, argv
         assert "argument --x: expected one argument" not in err.getvalue(), argv
+        if argv[0] != "checks":
+            assert_strict_output(argv, out.getvalue())

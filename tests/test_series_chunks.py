@@ -107,7 +107,7 @@ class TestChunks:
     @example(("x*(1 + 1/(x-70.5)^2)", 3.5, 1e-8))  # the pole faults at the first chunk's points
     @example(("exp(x^2/500)", 0.5, 1e-8))  # never decays: SeriesDivergence after the first chunk
     @example(("exp(x^2/500)*(1 + 1/(x-67.5)^2)", 0.5, 1e-8))  # ... raised before the pole is seen
-    @example(("x^-130", 0.5, 1e-8))  # g below 1e-154: h is inf
+    @example(("x^-130", 0.5, 1e-8))  # g below 1e-154: g*g underflows
     def test_values_and_exceptions_match_a_call_per_chunk_and_per_tail(self, case):
         spec, x, tol = case
         g = representer(spec)
