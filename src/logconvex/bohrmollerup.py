@@ -22,6 +22,7 @@ integer arguments exactly.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, replace
 
@@ -157,65 +158,69 @@ def _coefficients(x0: float) -> tuple[list[float], float]:
     return cs, c_prev
 
 
-def _level_terms(x0: float, coeffs: tuple[list[float], float], win: np.ndarray,
-                 gx: np.ndarray) -> list[tuple]:
-    """The order-p and sandwich terms of levels n, one column of ``win`` = g(n .. n+2p)
-    and one entry of ``gx`` = g(x0+n) per level, with ``coeffs`` = ``_coefficients(x0)``.
+def _differences(vals: list[float]) -> tuple[list[float], int, float]:
+    """([Delta^j v(0) for j = 0..ORDER], signs, allowance) from vals = v(0 .. 2 ORDER):
+    the one difference rule of the product's levels and the series' chunks.
 
-    Returns per level (sum_{j=1..p} C(x0, j) Delta^{j-1} log g(n),
-    |C(x0-1, p)| |Delta^p log g(n)|, Delta log g(n), whether Delta^p log g keeps one
-    sign over n .. n+p, log g(n) - log g(x0+n), x0 log g(n), |g(x0+n)/g(n) - 1|).
-    g(n) and g(x0+n) must be positive. A column holding a non-positive value gives
-    (0, inf, nan, False) for its order-p terms: the sandwich decides that level.
-    The logs are ``math.log``'s, whose bits ``np.log`` does not always share.
+    ``signs`` holds the signs Delta^ORDER v keeps over 0 .. ORDER: bit 1 for
+    >= 0, bit 2 for <= 0, 0 where it keeps neither. Where the exact values keep
+    no one sign, a Delta^ORDER v within 2^ORDER eps max|v| of 0, the rounding
+    of the differences, counts as either sign, and ``allowance`` is that width,
+    the error a bound from Delta^ORDER v must add; elsewhere it is 0.
+    """
+    d = vals
+    heads = [d[0]]
+    for _ in range(ORDER):
+        d = list(map(operator.sub, d[1:], d))
+        heads.append(d[0])
+    lo, hi = min(d), max(d)
+    allowance = 0.0 if lo >= 0.0 or hi <= 0.0 else 2 ** ORDER * EPS * max(map(abs, vals))
+    return heads, (lo >= -allowance) | 2 * (hi <= allowance), allowance
+
+
+def _level_terms(x0: float, coeffs: tuple[list[float], float], win: list[float],
+                 gx: float) -> tuple:
+    """The order-p and sandwich terms of level n from ``win`` = g(n .. n+2p) and
+    ``gx`` = g(x0+n), with ``coeffs`` = ``_coefficients(x0)``.
+
+    Returns (sum_{j=1..p} C(x0, j) Delta^{j-1} log g(n),
+    |C(x0-1, p)| (|Delta^p log g(n)| + allowance), Delta log g(n), the signs
+    Delta^p log g keeps over n .. n+p, log g(n) - log g(x0+n), x0 log g(n),
+    |g(x0+n)/g(n) - 1|), with the signs and allowance of ``_differences``.
+    g(n) and g(x0+n) must be positive. A window holding a non-positive value
+    gives (0, inf, nan, 0) for its order-p terms: the sandwich decides that level.
     """
     cs, c_last = coeffs
-    flat = win.ravel().tolist()  # g(n) of every level first
-    if min(flat) > 0.0:
-        logs, positive = list(map(math.log, flat)), None
+    if min(win) > 0.0:
+        d, signs, allowance = _differences(list(map(math.log, win)))
+        tail = 0.0
+        for c, dj in zip(cs, d):
+            tail += c * dj
+        log_gn, d1, bound = d[0], d[1], abs(c_last) * (abs(d[ORDER]) + allowance)
     else:
-        logs, positive = [math.log(v) if v > 0.0 else math.nan for v in flat], win.min(axis=0) > 0.0
-    logs = np.array(logs).reshape(win.shape)
-    heads, d = [], logs
-    for _ in range(ORDER):
-        heads.append(d[0])
-        d = d[1:] - d[:-1]
-    tail, d1 = 0.0, heads[1]
-    for c, head in zip(cs, heads):
-        tail = tail + c * head
-    bound = np.abs(c_last * d[0])
-    one_sign = (np.minimum.reduce(d) >= 0.0) | (np.maximum.reduce(d) <= 0.0)
-    if positive is not None:
-        tail, bound = np.where(positive, tail, 0.0), np.where(positive, bound, math.inf)
-        d1, one_sign = np.where(positive, d1, math.nan), one_sign & positive
-    log_gn, gxs = heads[0], gx.tolist()
-    log_gx = np.array(list(map(math.log, gxs)))
+        log_gn, tail, bound, d1, signs = math.log(win[0]), 0.0, math.inf, math.nan, 0
     # as Python floats, a ratio past float range is inf and raises no numpy warning
-    rel_gap = [abs(b / a - 1.0) for a, b in zip(flat, gxs)]
-    return list(zip(tail.tolist(), bound.tolist(), d1.tolist(), one_sign.tolist(),
-                    (log_gn - log_gx).tolist(), (x0 * log_gn).tolist(), rel_gap))
+    return tail, bound, d1, signs, log_gn - math.log(gx), x0 * log_gn, abs(gx / win[0] - 1.0)
 
 
-def _block(g: Representer, x0: float, n: int, have: int, max_n: int,
-           coeffs: tuple[list[float], float]):
+def _block(g: Representer, x0: float, n: int, have: int, max_n: int):
     """(end, block) for the levels from n up to ``end``, the last level of the
     doubling n, min(2n, max_n), ... not past the first of BLOCK_ENDS >= n.
 
-    block = (have, log g(k) - log g(x0+k), g(x0+k), terms) with k = have .. end,
-    where log g(0) := 0, and ``terms`` the ``_level_terms`` of the block's levels,
-    keyed by n: every argument of those levels, from one call of g. It is None,
-    and the levels make their own calls, past the last block end and where this
-    call meets any fault: an exception, a floating-point signal, or a value below
+    block = (have, log g(k) - log g(x0+k), g(k), g(x0+k)), where log g(0) := 0,
+    the logs and g(x0+k) for k = have .. end and g(k) up to end + 2p: every
+    argument of the block's levels, from one call of g. It is None, and the
+    levels make their own calls, past the last block end and where this call
+    meets any fault: an exception, a floating-point signal, or a value below
     POLE_TOL. The call evaluates g past the level where the loop may stop, so
     those levels' own calls raise what is theirs, and in their order.
     """
     bound = next((e for e in BLOCK_ENDS if e >= n), None)
     if bound is None:
         return max_n, None
-    levels = [n]
-    while levels[-1] < max_n and min(2 * levels[-1], max_n) <= bound:
-        levels.append(min(2 * levels[-1], max_n))
-    end = levels[-1]
+    end = n
+    while end < max_n and min(2 * end, max_n) <= bound:
+        end = min(2 * end, max_n)
     ks = np.arange(have, end + 2 * ORDER + 1, dtype=float)
     args = np.concatenate((ks, x0 + ks[:end + 1 - have]))
     if have == 0:
@@ -230,20 +235,7 @@ def _block(g: Representer, x0: float, n: int, have: int, max_n: int,
     logs = np.log(vals)
     if have == 0:
         logs[0] = 0.0
-    xv = vals[ks.size:]
-    at = np.array(levels) - have
-    terms = _level_terms(x0, coeffs, vals[np.arange(2 * ORDER + 1)[:, None] + at], xv[at])
-    return end, (have, logs[:xv.size] - logs[ks.size:], xv, dict(zip(levels, terms)))
-
-
-def _differences(vals: list[float]) -> tuple[list[float], bool]:
-    """[Delta^j v(0) for j = 0..ORDER] from vals = v(0 .. 2 ORDER), and whether
-    Delta^ORDER v keeps one sign over 0 .. ORDER."""
-    heads, d = [], vals
-    for _ in range(ORDER):
-        heads.append(d[0])
-        d = [b - a for a, b in zip(d, d[1:])]
-    return heads + [d[0]], min(d) >= 0.0 or max(d) <= 0.0
+    return end, (have, logs[:end + 1 - have] - logs[ks.size:], vals[:ks.size], vals[ks.size:])
 
 
 def _base_state(g: Representer, x0: float, m: int, tol: float,
@@ -258,23 +250,25 @@ def _base_state(g: Representer, x0: float, m: int, tol: float,
 
     A level trusts the order-p bound where its hypothesis is seen: Delta log g(n)
     is 0 or at most SHRINK times its value at the last level, and Delta^p log g
-    keeps one sign. Elsewhere (the fibonacci representer, whose log g
-    oscillates) the value is the sandwich midpoint, and the bound covers half
-    the sandwich and, after the first level, the move since the last level:
-    the sandwich alone brackets f only where f is log-convex. Either bound
+    keeps one sign over n .. n+p, one it kept at the last level too (signs by
+    ``_differences``, within its rounding allowance). Elsewhere (the fibonacci
+    representer, whose log g oscillates) the value is the sandwich midpoint,
+    and the bound covers half the sandwich and, after the first level, the
+    move since the last level: the sandwich alone brackets f only where f is
+    log-convex. Either bound
     adds a rounding allowance of (n + |m| + 1) eps for the n terms and the
     |m|-step scaling. DivergenceError is raised when the ratio gap
     |g(x+n)/g(n) - 1| fails to decrease over three successive doublings, the
     signature of a representer violating lim g(n)/g(x+n) = 1.
 
     Each level needs the log terms for k < n and g at n .. n+2p and x0+n. Up to
-    CHUNK, one call of g gives them for a block of levels (``_block``), whose
-    order-p and sandwich terms are one array pass; each level sums its slice of
-    the block's logs when the loop reaches it, and every sum and value has the
+    CHUNK, one call of g gives them for a block of levels (``_block``). A level
+    takes its window of the block, sums its slice of the block's logs and forms
+    its terms only when the loop reaches it, and every sum and value has the
     bits of a level's own calls. Where the block's call meets a fault, and past
     CHUNK, each level makes its own calls: ``_log_terms`` over [n/2, n) in
-    chunks of CHUNK, then g at the 2p+2 points, whose terms are a one-level
-    ``_level_terms``.
+    chunks of CHUNK, then g at the 2p+2 points. Either way, one
+    ``_level_terms`` call gives the level's terms.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
@@ -285,28 +279,28 @@ def _base_state(g: Representer, x0: float, m: int, tol: float,
     log_pn = 0.0
     prev_gap, prev_log_value = math.inf, None
     prev_d1 = 0.0  # no level yet: only Delta log g(n) = 0 counts as shrinking
+    prev_signs = 3  # ... and either sign of Delta^p log g as kept
     stalled = 0
     best = (math.inf,)  # (bound, n, log_pn, log_value, rel_gap) of the tightest level
-    block_end, block = _block(g, x0, n, have, max_n, coeffs)
-    forward = block[2] if block is not None else None
+    block_end, block = _block(g, x0, n, have, max_n)
+    forward = block[3] if block is not None else None
     while True:
         if n > block_end:
-            block_end, block = _block(g, x0, n, have, max_n, coeffs)
+            block_end, block = _block(g, x0, n, have, max_n)
         if block is not None:
-            start, log_terms, _, terms = block  # log_terms is indexed by k - start
+            start, log_terms, gk, gx = block  # indexed by k - start
             log_pn += float(np.add.reduce(log_terms[have - start:n - start]))
-            tail, bound, d1, one_sign, log_ratio, log_gx, rel_gap = terms[n]
+            win, gxn = gk[n - start:n - start + 2 * ORDER + 1].tolist(), float(gx[n - start])
         else:
             log_pn = _log_terms(g, x0, have, n, log_pn)
             # g at n .. n+2p for the order-p terms, then at x0 + n for the sandwich
-            vals = g.values(np.array([*range(n, n + 2 * ORDER + 1), x0 + n], dtype=float))
-            if not (vals[0] > 0.0 and vals[-1] >= POLE_TOL):
+            *win, gxn = g.values(np.array([*range(n, n + 2 * ORDER + 1), x0 + n], dtype=float)).tolist()
+            if not (win[0] > 0.0 and gxn >= POLE_TOL):
                 _log_terms(g, x0, n, n + 1)  # raises the k = n term's PoleError or NonPositiveError
-            (tail, bound, d1, one_sign, log_ratio, log_gx, rel_gap), = _level_terms(
-                x0, coeffs, vals[:-1, None], vals[-1:])
+        tail, bound, d1, signs, log_ratio, log_gx, rel_gap = _level_terms(x0, coeffs, win, gxn)
         have = n
         log_pn1 = log_pn + log_ratio
-        if one_sign and (d1 == 0.0 or abs(d1) <= SHRINK * abs(prev_d1)):
+        if signs & prev_signs and (d1 == 0.0 or abs(d1) <= SHRINK * abs(prev_d1)):
             log_value = log_pn + tail
         else:
             log_value = 0.5 * (log_pn + log_pn1) + log_gx
@@ -323,7 +317,7 @@ def _base_state(g: Representer, x0: float, m: int, tol: float,
             raise DivergenceError(
                 f"|g(x+n)/g(n) - 1| = {rel_gap:.3e} failed to decrease over three "
                 f"doublings (n={n}); the representer violates lim g(n)/g(x+n) = 1")
-        prev_gap, prev_d1, prev_log_value = rel_gap, d1, log_value
+        prev_gap, prev_d1, prev_log_value, prev_signs = rel_gap, d1, log_value, signs
         # no later level can beat the best: its rounding allowance alone is larger
         if n >= max_n or best[0] <= (2 * n + abs(m) + 1) * EPS:
             break
@@ -468,25 +462,26 @@ def _series_terms(g: Representer, us: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _gregory_tail(h: np.ndarray, dlog: np.ndarray, h_ref: float,
                   dlog_ref: float) -> tuple[float, float] | None:
     """Gregory's sum_{j>=k} h(x+j) = (log g)'(x+k) + sum_{j=1..p} G_j Delta^{j-1} h(x+k),
-    with |G_{p+1} Delta^p h(x+k)| as its error, from h and (log g)' at x+k .. x+k+2p.
+    with |G_{p+1}| (|Delta^p h(x+k)| + allowance) as its error, from h and (log g)'
+    at x+k .. x+k+2p, with the allowance of ``_differences``.
 
     None where the formula's hypothesis is not seen: |h| and |(log g)'| at x+k
     must be 0 or at most SHRINK times ``h_ref`` and ``dlog_ref``, their
     magnitudes at an earlier point, and Delta^p h must keep one sign over
-    x+k .. x+k+p. The integral of h from x+k on is (log g)'(x+k) only where
+    x+k .. x+k+p, within the rounding of ``_differences``. The integral of h from x+k on is (log g)'(x+k) only where
     (log g)' vanishes at infinity.
     """
     h0, dlog0 = abs(float(h[0])), float(dlog[0])
     if not ((h0 == 0.0 or h0 <= SHRINK * h_ref)
             and (dlog0 == 0.0 or abs(dlog0) <= SHRINK * dlog_ref)):
         return None
-    d, one_sign = _differences(h.tolist())
-    if not one_sign:
+    d, signs, allowance = _differences(h.tolist())
+    if not signs:
         return None
     tail = dlog0
     for j in range(ORDER):
         tail += GREGORY[j] * d[j]
-    return tail, abs(GREGORY[ORDER] * d[ORDER])
+    return tail, abs(GREGORY[ORDER]) * (abs(d[ORDER]) + allowance)
 
 
 def logconvexity_series(g: Representer, x: float, tol: float = 1e-8) -> float:

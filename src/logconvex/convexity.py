@@ -85,8 +85,10 @@ def q_determinant(f: RealFunction, x: float, h: float | None = None) -> float:
 def d2_log(f: RealFunction, x: float, h: float | None = None) -> float:
     """(log f)''(x) for positive f.
 
-    Uses (f''f - f'^2)/f^2 with exact derivatives when both are present,
-    otherwise a central second difference of log(f) with step ``h``.
+    Uses (f''f - f'^2)/f^2 with exact derivatives when both are present, or
+    f''/f - (f'/f)^2 where that form is not finite (f f or f'' f overflows, or
+    f f underflows to 0), otherwise a central second difference of log(f)
+    with step ``h``.
     """
     fv = f(x)
     if fv <= 0.0:
@@ -94,7 +96,8 @@ def d2_log(f: RealFunction, x: float, h: float | None = None) -> float:
     if f.d1 is not None and f.d2 is not None:
         f1 = float(f.d1(x))
         f2 = float(f.d2(x))
-        return (f2 * fv - f1 * f1) / (fv * fv)
+        d2 = (f2 * fv - f1 * f1) / (fv * fv) if fv * fv != 0.0 else math.nan
+        return d2 if math.isfinite(d2) else f2 / fv - (f1 / fv) * (f1 / fv)
     if h is None:
         h = default_step(x, 2)
     fp = f(x + h)
@@ -226,7 +229,8 @@ def scan_convexity(f: RealFunction, a: float, b: float, n: int, h: float | None 
 
 def exact_q_d2log(f: RealFunction, xs: np.ndarray) -> tuple[list[float], list[float | None], list[float | None]]:
     """f, q = f f'' - f'^2 and (log f)'' = (f'' f - f'^2)/(f f) at every x, for f
-    with exact derivatives; f, f' and f'' come from ``_exact_values``.
+    with exact derivatives; f, f' and f'' come from ``_exact_values``. Where that
+    (log f)'' is not finite, it is f''/f - (f'/f)^2, as in ``d2_log``.
 
     f is nan where a call raises. A point's q is a gap (None) where |f| < 1e-300,
     and its (log f)'' where f <= 0: the domain gaps of ``q_determinant`` and
@@ -238,6 +242,10 @@ def exact_q_d2log(f: RealFunction, xs: np.ndarray) -> tuple[list[float], list[fl
     with np.errstate(all="ignore"):
         q = fv * f2 - f1 * f1
         d2 = (f2 * fv - f1 * f1) / (fv * fv)
+        if not math.isfinite(np.add.reduce(d2)):  # not finite where some value is not, or the sum overflows
+            out = ~np.isfinite(d2)
+            r = f1[out] / fv[out]
+            d2[out] = f2[out] / fv[out] - r * r
     return fv.tolist(), _with_gaps(q, np.abs(fv) < 1e-300), _with_gaps(d2, fv <= 0.0)
 
 

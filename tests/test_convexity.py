@@ -31,6 +31,7 @@ from logconvex.convexity import (
     NOT_LOG_CONVEX,
     _exact_values,
     build_report,
+    exact_q_d2log,
     stencil,
 )
 from logconvex.funcore import Grid
@@ -180,6 +181,17 @@ class TestD2Log:
             d2_log(IDENTITY, -1.0)
         with pytest.raises(NonPositiveError):
             d2_log(SQUARE, 0.0)
+
+    @pytest.mark.parametrize("x,want", [(-745.0, -9.8696044010893586), (-739.04, -10.027114521725959),
+                                        (742.02, 0.0)])
+    def test_exact_form_where_f_squared_overflows(self, x, want):
+        """fib_real is about 1e154 to 1e155 here, so f'' f (and f f at -745 and 742.02)
+        overflows and (f'' f - f'^2)/(f f) is not finite: f''/f - (f'/f)^2 gives
+        (log f)'' (mpmath)."""
+        f = fib_real_fn()
+        assert not math.isfinite(float(f.d2(x)) * f(x))
+        for got in (d2_log(f, x), exact_q_d2log(f, np.array([x]))[2][0]):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (x, got)
 
     def test_consistency_with_q(self):
         """q(f)/f^2 = (log f)'' to 1e-6 wherever f > 1e-6, on random smooth f."""

@@ -1,11 +1,12 @@
 """The product loop's blocks: one call of g for a block of doubling levels.
 
-``_base_state`` evaluates g once for all the levels up to a block end, takes
-the order-p and sandwich terms of those levels in one array pass, and walks
-the levels over slices of that call; the forward scaling takes g(x0+k) from
-the first block. These tests hold it to the loop with two calls of g per
-level and scalar order-p terms, kept here as ``reference_base_state`` with
-``_gauss_tail`` and ``_sandwich_logs``, and to the forward chain's own call:
+``_base_state`` evaluates g once for all the levels up to a block end, and
+walks the levels over slices of that call, taking a level's order-p and
+sandwich terms when the loop reaches it; the forward scaling takes g(x0+k)
+from the first block. These tests hold it to the loop with two calls of g
+per level and order-p terms in their own scalar code, kept here as
+``reference_base_state`` with ``_gauss_tail`` and ``_sandwich_logs``, and to
+the forward chain's own call:
 the same state bits, the same exceptions with the same messages and
 attributes, and the same warnings, also where g fails past the level where
 the loop stops.
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 from logconvex import NonFiniteError, RealFunction, Representer, builtin, extended_state, from_spec
 from logconvex import bohrmollerup as bm
-from logconvex.bohrmollerup import CHUNK, ORDER, POLE_TOL, SHRINK, ProductState, _differences, _log_terms
+from logconvex.bohrmollerup import CHUNK, ORDER, POLE_TOL, SHRINK, ProductState, _log_terms
 from logconvex.errors import DivergenceError
 from logconvex.funcore import EPS
 from test_rational_family import rational
@@ -39,21 +40,30 @@ def _sandwich_logs(g: Representer, x: float, n: int, log_pn: float, g_n: float,
     return log_pn + (math.log(g_n) - math.log(g_xn)), x * math.log(g_n), abs(g_xn / g_n - 1.0)
 
 
-def _gauss_tail(x: float, vals: list[float]) -> tuple[float, float, float, bool]:
+def _gauss_tail(x: float, vals: list[float]) -> tuple[float, float, float, int]:
     """The order-p terms from vals = g(n .. n+2p), one level at a time.
 
-    Returns (sum_{j=1..p} C(x, j) Delta^{j-1} log g(n), |C(x-1, p)| |Delta^p log g(n)|,
-    Delta log g(n), whether Delta^p log g keeps one sign over n .. n+p).
+    Returns (sum_{j=1..p} C(x, j) Delta^{j-1} log g(n),
+    |C(x-1, p)| (|Delta^p log g(n)| + w), Delta log g(n), signs). Over n .. n+p,
+    ``signs`` has bit 1 where every Delta^p log g is >= -w and bit 2 where every
+    one is <= w. The allowance w is 2^p eps max |log g| over the window where
+    Delta^p log g takes both strict signs, else 0.
     """
     if not min(vals) > 0.0:
-        return 0.0, math.inf, math.nan, False
-    d, one_sign = _differences([math.log(v) for v in vals])
+        return 0.0, math.inf, math.nan, 0
+    rows = [[math.log(v) for v in vals]]  # rows[j] = Delta^j log g over the window
+    for _ in range(ORDER):
+        rows.append([b - a for a, b in zip(rows[-1], rows[-1][1:])])
+    top = rows[ORDER]
+    mixed = any(v > 0.0 for v in top) and any(v < 0.0 for v in top)
+    w = 2 ** ORDER * EPS * max(abs(v) for v in rows[0]) if mixed else 0.0
+    signs = (1 if all(v >= -w for v in top) else 0) | (2 if all(v <= w for v in top) else 0)
     tail, c, c_prev = 0.0, 1.0, 1.0  # c = C(x, j), c_prev = C(x-1, j)
     for j in range(1, ORDER + 1):
         c *= (x - j + 1) / j
         c_prev *= (x - j) / j
-        tail += c * d[j - 1]
-    return tail, abs(c_prev * d[ORDER]), d[1], one_sign
+        tail += c * rows[j - 1][0]
+    return tail, abs(c_prev) * (abs(top[0]) + w), rows[1][0], signs
 
 
 def reference_base_state(g: Representer, x0: float, m: int, tol: float,
@@ -69,6 +79,7 @@ def reference_base_state(g: Representer, x0: float, m: int, tol: float,
     log_pn = 0.0
     prev_gap, prev_log_value = math.inf, None
     prev_d1 = 0.0  # no level yet: only Delta log g(n) = 0 counts as shrinking
+    prev_signs = 3  # ... and either sign of Delta^p log g as kept
     stalled = 0
     best = (math.inf,)  # (bound, n, log_pn, log_value, rel_gap) of the tightest level
     while True:
@@ -78,8 +89,9 @@ def reference_base_state(g: Representer, x0: float, m: int, tol: float,
         # g at n .. n+2p for the order-p terms, then at x0 + n for the sandwich
         vals = g.values(np.array([*range(n, n + 2 * ORDER + 1), x0 + n], dtype=float)).tolist()
         log_pn1, log_gx, rel_gap = _sandwich_logs(g, x0, n, log_pn, vals[0], vals[-1])
-        tail, bound, d1, one_sign = _gauss_tail(x0, vals[:-1])
-        if one_sign and (d1 == 0.0 or abs(d1) <= SHRINK * abs(prev_d1)):
+        tail, bound, d1, signs = _gauss_tail(x0, vals[:-1])
+        # the order-p bound needs Delta^p log g to keep the sign it kept at the last level
+        if signs & prev_signs and (d1 == 0.0 or abs(d1) <= SHRINK * abs(prev_d1)):
             log_value = log_pn + tail
         else:
             log_value = 0.5 * (log_pn + log_pn1) + log_gx
@@ -96,7 +108,7 @@ def reference_base_state(g: Representer, x0: float, m: int, tol: float,
             raise DivergenceError(
                 f"|g(x+n)/g(n) - 1| = {rel_gap:.3e} failed to decrease over three "
                 f"doublings (n={n}); the representer violates lim g(n)/g(x+n) = 1")
-        prev_gap, prev_d1, prev_log_value = rel_gap, d1, log_value
+        prev_gap, prev_d1, prev_log_value, prev_signs = rel_gap, d1, log_value, signs
         # no later level can beat the best: its rounding allowance alone is larger
         if n >= max_n or best[0] <= (2 * n + abs(m) + 1) * EPS:
             break
@@ -219,13 +231,11 @@ WINDOW = st.floats(1e-300, 1e300) | st.floats(-2.0, 0.0)
        st.lists(st.tuples(st.floats(1e-300, 1e300), st.lists(WINDOW, min_size=2 * ORDER, max_size=2 * ORDER),
                           st.floats(1e-300, 1e300)), min_size=1, max_size=8))
 def test_level_terms_are_the_scalar_rules_level_by_level(x0, rows):
-    """Each level of the array pass has the bits of ``_gauss_tail`` and ``_sandwich_logs``
+    """Each level's ``_level_terms`` has the bits of ``_gauss_tail`` and ``_sandwich_logs``
     on that level, also for a window that holds a non-positive value."""
-    win = np.array([[g_n, *rest] for g_n, rest, _ in rows]).T
-    gx = np.array([g_xn for _, _, g_xn in rows])
-    got = bm._level_terms(x0, bm._coefficients(x0), win, gx)
-    for row, (g_n, rest, g_xn) in zip(got, rows):
+    for g_n, rest, g_xn in rows:
+        got = bm._level_terms(x0, bm._coefficients(x0), [g_n, *rest], g_xn)
         log_ratio, log_gx, rel_gap = _sandwich_logs(None, x0, 4, 0.0, g_n, g_xn)
         want = (*_gauss_tail(x0, [g_n, *rest]), log_ratio, log_gx, rel_gap)
-        assert [v.hex() if isinstance(v, float) else v for v in row] == \
+        assert [v.hex() if isinstance(v, float) else v for v in got] == \
             [v.hex() if isinstance(v, float) else v for v in want]

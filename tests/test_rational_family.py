@@ -9,7 +9,7 @@ so (log f)''(x) = sum_i psi1(x + a_i) - sum_j psi1(x + b_j). mpmath is the oracl
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logconvex import extend, extended_state, logconvexity_series, parse_representer
@@ -64,6 +64,11 @@ class TestRationalRepresenters:
 
     @settings(max_examples=60, deadline=None)
     @given(rational(), POINTS, st.sampled_from([1e-8, 1e-12]))
+    # Delta^4 log g is < 0 at n = 8 and > 0 from n = 16 on: the order-4 bound of
+    # n = 16, trusted on its own window, missed f
+    @example(("1.0*(x+2.664)*(x+5.633)/((x+3.736)*(x+4.074))", 1.0, [2.664, 5.633], [3.736, 4.074]), 1.5, 1e-8)
+    @example(("2.18*(x+0.866)*(x+3.054)*(x+5.553)/((x+3.877)*(x+1.742)*(x+2.851))", 2.18,
+              [0.866, 3.054, 5.553], [3.877, 1.742, 2.851]), 0.4615431812936544, 1e-8)
     def test_extend_brackets_the_closed_form(self, rep, x, tol):
         spec, c, a, b = rep
         state = extended_state(parse_representer(spec), x, tol)
