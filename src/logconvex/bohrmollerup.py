@@ -178,39 +178,77 @@ def _differences(vals: list[float]) -> tuple[list[float], int, float]:
     return heads, (lo >= -allowance) | 2 * (hi <= allowance), allowance
 
 
-def _level_terms(x0: float, coeffs: tuple[list[float], float], win: list[float],
-                 gx: float) -> tuple:
-    """The order-p and sandwich terms of level n from ``win`` = g(n .. n+2p) and
-    ``gx`` = g(x0+n), with ``coeffs`` = ``_coefficients(x0)``.
-
-    Returns (sum_{j=1..p} C(x0, j) Delta^{j-1} log g(n),
-    |C(x0-1, p)| (|Delta^p log g(n)| + allowance), Delta log g(n), the signs
-    Delta^p log g keeps over n .. n+p, log g(n) - log g(x0+n), x0 log g(n),
-    |g(x0+n)/g(n) - 1|), with the signs and allowance of ``_differences``.
-    g(n) and g(x0+n) must be positive. A window holding a non-positive value
-    gives (0, inf, nan, 0) for its order-p terms: the sandwich decides that level.
+def _level(win: list[float]) -> tuple:
+    """The x-independent terms of level n from ``win`` = g(n .. n+2p), g(n) > 0:
+    (log g(n), [Delta^j log g(n) for j = 0..p], the signs Delta^p log g keeps over
+    n .. n+p, allowance, g(n)), with the signs and allowance of ``_differences``.
+    A window holding a non-positive value has no differences: (log g(n), None, 0, 0.0, g(n)).
     """
-    cs, c_last = coeffs
     if min(win) > 0.0:
         d, signs, allowance = _differences(list(map(math.log, win)))
+        return d[0], d, signs, allowance, win[0]
+    return math.log(win[0]), None, 0, 0.0, win[0]
+
+
+def _level_terms(x0: float, coeffs: tuple[list[float], float], level: tuple, gx: float) -> tuple:
+    """The order-p and sandwich terms at x0 of a level n from its ``_level`` terms and
+    ``gx`` = g(x0+n) > 0, with ``coeffs`` = ``_coefficients(x0)``.
+
+    Returns (sum_{j=1..p} C(x0, j) Delta^{j-1} log g(n),
+    |C(x0-1, p)| (|Delta^p log g(n)| + allowance), Delta log g(n), signs,
+    log g(n) - log g(x0+n), x0 log g(n), |g(x0+n)/g(n) - 1|). A level without
+    differences gives (0, inf, nan, 0) for its order-p terms: the sandwich decides it.
+    """
+    log_gn, d, signs, allowance, g_n = level
+    if d is None:
+        tail, bound, d1 = 0.0, math.inf, math.nan
+    else:
+        cs, c_last = coeffs
         tail = 0.0
         for c, dj in zip(cs, d):
             tail += c * dj
-        log_gn, d1, bound = d[0], d[1], abs(c_last) * (abs(d[ORDER]) + allowance)
-    else:
-        log_gn, tail, bound, d1, signs = math.log(win[0]), 0.0, math.inf, math.nan, 0
+        bound, d1 = abs(c_last) * (abs(d[ORDER]) + allowance), d[1]
     # as Python floats, a ratio past float range is inf and raises no numpy warning
-    return tail, bound, d1, signs, log_gn - math.log(gx), x0 * log_gn, abs(gx / win[0] - 1.0)
+    return tail, bound, d1, signs, log_gn - math.log(gx), x0 * log_gn, abs(gx / g_n - 1.0)
+
+
+class _Numerator:
+    """The product's x-independent terms for one block of levels: g(k) and log g(k)
+    for k = start .. start + g.size - 1, where log g(0) := 0 (g.size covers the
+    block's windows), and the ``_level`` terms of the block's doubling levels,
+    each formed when a loop first reaches it."""
+
+    __slots__ = ("start", "g", "logs", "levels")
+
+    def __init__(self, start: int, g: np.ndarray):
+        self.start, self.g = start, g
+        self.logs = np.log(g)
+        if start == 0:
+            self.logs[0] = 0.0
+        self.levels: dict[int, tuple] = {}
+
+    def level(self, n: int) -> tuple:
+        got = self.levels.get(n)
+        if got is None:
+            i = n - self.start
+            got = _level(self.g[i:i + 2 * ORDER + 1].tolist())
+            if n & (n - 1) == 0:  # the doublings from 4, which every max_n shares
+                self.levels[n] = got
+        return got
 
 
 def _block(g: Representer, x0: float, n: int, have: int, max_n: int):
     """(end, block) for the levels from n up to ``end``, the last level of the
     doubling n, min(2n, max_n), ... not past the first of BLOCK_ENDS >= n.
 
-    block = (have, log g(k) - log g(x0+k), g(k), g(x0+k)), where log g(0) := 0,
-    the logs and g(x0+k) for k = have .. end and g(k) up to end + 2p: every
-    argument of the block's levels, from one call of g. It is None, and the
-    levels make their own calls, past the last block end and where this call
+    block = (have, log g(k) - log g(x0+k) for k = have .. end, the block's
+    ``_Numerator``, g(x0+k) for k = have .. end). The numerator is g's
+    ``product_terms`` entry for the block's BLOCK_ENDS value. A call that finds
+    none, or one too short for its levels, makes the entry: one call of g at
+    every argument of the block's levels, g(k) up to end + 2p and g(x0+k)
+    together, whose g(k) are stored once the whole call has passed the fault
+    checks. Other calls evaluate g at x0+k alone. The block is None, and the
+    levels make their own calls, past the last block end and where the call
     meets any fault: an exception, a floating-point signal, or a value below
     POLE_TOL. The call evaluates g past the level where the loop may stop, so
     those levels' own calls raise what is theirs, and in their order.
@@ -221,10 +259,15 @@ def _block(g: Representer, x0: float, n: int, have: int, max_n: int):
     end = n
     while end < max_n and min(2 * end, max_n) <= bound:
         end = min(2 * end, max_n)
-    ks = np.arange(have, end + 2 * ORDER + 1, dtype=float)
-    args = np.concatenate((ks, x0 + ks[:end + 1 - have]))
-    if have == 0:
-        args[0] = 1.0  # the g(0) := 1 factor: a stand-in argument inside g's domain
+    size = end + 2 * ORDER + 1 - have  # g(k) for k = have .. end + 2p
+    args = x0 + np.arange(have, end + 1, dtype=float)
+    num = g.product_terms.get(bound)  # starts at have: 0, or the block end before
+    fill = num is None or num.g.size < size
+    if fill:
+        ks = np.arange(have, have + size, dtype=float)
+        if have == 0:
+            ks[0] = 1.0  # the g(0) := 1 factor: a stand-in argument inside g's domain
+        args = np.concatenate((ks, args))
     try:
         with np.errstate(all="raise"):
             vals = g.values(args)
@@ -232,10 +275,10 @@ def _block(g: Representer, x0: float, n: int, have: int, max_n: int):
         return end, None
     if not vals.min() >= POLE_TOL:
         return end, None
-    logs = np.log(vals)
-    if have == 0:
-        logs[0] = 0.0
-    return end, (have, logs[:end + 1 - have] - logs[ks.size:], vals[:ks.size], vals[ks.size:])
+    if fill:
+        num = g.product_terms[bound] = _Numerator(have, vals[:size].copy())
+        vals = vals[size:]
+    return end, (have, num.logs[:end + 1 - have] - np.log(vals), num, vals)
 
 
 def _base_state(g: Representer, x0: float, m: int, tol: float,
@@ -262,13 +305,14 @@ def _base_state(g: Representer, x0: float, m: int, tol: float,
     signature of a representer violating lim g(n)/g(x+n) = 1.
 
     Each level needs the log terms for k < n and g at n .. n+2p and x0+n. Up to
-    CHUNK, one call of g gives them for a block of levels (``_block``). A level
-    takes its window of the block, sums its slice of the block's logs and forms
-    its terms only when the loop reaches it, and every sum and value has the
-    bits of a level's own calls. Where the block's call meets a fault, and past
-    CHUNK, each level makes its own calls: ``_log_terms`` over [n/2, n) in
-    chunks of CHUNK, then g at the 2p+2 points. Either way, one
-    ``_level_terms`` call gives the level's terms.
+    CHUNK, they come a block of levels at a time (``_block``): g(k) and each
+    level's ``_level`` terms from g's cache, filled by the first call that needs
+    them, and g(x0+k) from one call of g. A level sums its slice of the block's
+    logs and takes its terms only when the loop reaches it, and every sum and
+    value has the bits of a level's own calls. Where the block's call meets a
+    fault, and past CHUNK, each level makes its own calls: ``_log_terms`` over
+    [n/2, n) in chunks of CHUNK, then g at the 2p+2 points. Either way, one
+    ``_level_terms`` call gives the level's terms at x0.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
@@ -288,16 +332,17 @@ def _base_state(g: Representer, x0: float, m: int, tol: float,
         if n > block_end:
             block_end, block = _block(g, x0, n, have, max_n)
         if block is not None:
-            start, log_terms, gk, gx = block  # indexed by k - start
+            start, log_terms, num, gx = block  # indexed by k - start
             log_pn += float(np.add.reduce(log_terms[have - start:n - start]))
-            win, gxn = gk[n - start:n - start + 2 * ORDER + 1].tolist(), float(gx[n - start])
+            level, gxn = num.level(n), float(gx[n - start])
         else:
             log_pn = _log_terms(g, x0, have, n, log_pn)
             # g at n .. n+2p for the order-p terms, then at x0 + n for the sandwich
             *win, gxn = g.values(np.array([*range(n, n + 2 * ORDER + 1), x0 + n], dtype=float)).tolist()
             if not (win[0] > 0.0 and gxn >= POLE_TOL):
                 _log_terms(g, x0, n, n + 1)  # raises the k = n term's PoleError or NonPositiveError
-        tail, bound, d1, signs, log_ratio, log_gx, rel_gap = _level_terms(x0, coeffs, win, gxn)
+            level = _level(win)
+        tail, bound, d1, signs, log_ratio, log_gx, rel_gap = _level_terms(x0, coeffs, level, gxn)
         have = n
         log_pn1 = log_pn + log_ratio
         if signs & prev_signs and (d1 == 0.0 or abs(d1) <= SHRINK * abs(prev_d1)):
@@ -490,8 +535,8 @@ def logconvexity_series(g: Representer, x: float, tol: float = 1e-8) -> float:
     Terms are summed in chunks of 64, 128, ..., 65536. After each chunk, k
     terms in, Gregory's formula gives the rest of the series in closed form
     from the 2p+1 points after the chunk (``_gregory_tail``), where its
-    hypothesis is seen: |h| and |(log g)'| shrink from x + k/2 (or the
-    chunk's first point, if later) to x + k, and Delta^4 h keeps one sign. There the sum stops at the first chunk whose
+    hypothesis is seen: |h| and |(log g)'| shrink from x + k/2 to x + k, and
+    Delta^4 h keeps one sign. There the sum stops at the first chunk whose
     error estimate |G_5 Delta^4 h(x+k)| is within the rounding allowance
     (k+1) eps sum|h| of the k terms, and the sum plus the Gregory tail is
     returned if estimate plus allowance meet ``tol`` relative to
@@ -506,10 +551,12 @@ def logconvexity_series(g: Representer, x: float, tol: float = 1e-8) -> float:
     out first.
 
     One call each of g, g' and g'' gives a chunk's terms and the points after
-    it. Where that call meets a fault (an exception or a floating-point
-    signal), the chunk is evaluated alone and the points after it only once
-    the chunk has passed its checks, so every exception and warning is the
-    one the chunk and its points raise in that order.
+    it; once chunks stop doubling, a chunk starts past x + k/2, and one more
+    call evaluates that point again. Where the chunk's call meets a fault (an
+    exception or a floating-point signal), the chunk is evaluated alone and
+    the points after it only once the chunk has passed its checks, so every
+    exception and warning is the one the chunk and its points raise in that
+    order.
     """
     if not (x > 0.0):
         raise DomainError(f"series needs x > 0, got {x!r}")
@@ -531,8 +578,7 @@ def logconvexity_series(g: Representer, x: float, tol: float = 1e-8) -> float:
         total += float(np.sum(terms))
         abs_terms = np.abs(terms)
         abs_total += float(np.sum(abs_terms))
-        ref = max((k + size) // 2 - k, 0)  # x + k/2 after this chunk, if the chunk holds it
-        k += size
+        start, k = k, k + size
         last = float(terms[-1])
         scale = max(1.0, abs(total))
         tail = last * (k - 1)
@@ -546,7 +592,14 @@ def logconvexity_series(g: Representer, x: float, tol: float = 1e-8) -> float:
             raise SeriesDivergence(
                 f"series terms non-decreasing over {size} consecutive k near k={k}")
         after = (h[size:], dlog[size:]) if h.size > size else _series_terms(g, us[size:])
-        gregory = _gregory_tail(*after, float(abs_terms[ref]), abs(float(dlog[ref])))
+        half = k // 2
+        if half >= start:
+            h_ref, dlog_ref = float(abs_terms[half - start]), abs(float(dlog[half - start]))
+        else:  # x + k/2 is a point of an earlier chunk, whose faults were raised there
+            with np.errstate(all="ignore"):
+                h_half, dlog_half = _series_terms(g, np.array([x + half]))
+            h_ref, dlog_ref = abs(float(h_half[0])), abs(float(dlog_half[0]))
+        gregory = _gregory_tail(*after, h_ref, dlog_ref)
         if gregory is None:
             if fits:
                 return total + tail

@@ -78,6 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--tol", type=float, default=None,
                        help="override computational tolerances inside the checks")
     p_chk.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    p_chk.add_argument("--timings", action="store_true",
+                       help='write {"check": ..., "seconds": ...} per check to stderr, one JSON line each')
     p_chk.add_argument("--out", dest="out_path")
     return parser
 
@@ -197,6 +199,9 @@ def cmd_checks(ns: argparse.Namespace) -> int:
 
     results = run_checks(only=ns.only, tol=ns.tol, seed=ns.seed)
     _emit(json.dumps([r.to_dict() for r in results], indent=2) + "\n", ns.out_path)
+    if ns.timings:
+        for r in results:
+            print(json.dumps({"check": r.name, "seconds": r.seconds}), file=sys.stderr)
     if not results:
         return _fail(f"no check matches --only {ns.only!r}")
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILURE

@@ -6,7 +6,7 @@ Builtins, the parsed expression language, and Artinian derivative chains.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,13 +25,17 @@ class Representer:
     """A positive function g with exact first and second derivatives.
 
     ``positivity_domain`` is the interval on which g is promised positive;
-    construction spot-checks it on a 64-point grid.
+    construction spot-checks it on a 64-point grid. ``product_terms`` holds
+    the product's terms that do not depend on x, filled by ``bohrmollerup``
+    as its loop first needs them; ``fn`` being deterministic makes them valid
+    for every later x. It takes no part in ``==``, ``repr`` or ``replace``.
     """
 
     fn: RealFunction
     positivity_domain: tuple[float, float] = (0.0, _INF)
     name: str = ""
     ast: ex.Expr | None = None
+    product_terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for x in _spot_grid(*self.positivity_domain):

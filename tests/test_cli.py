@@ -345,6 +345,16 @@ class TestChecks:
         code, _, err = run_cli(capsys, "checks", "--only", "nosuchcheck")
         assert code == 2
 
+    def test_timings_go_to_stderr_and_leave_stdout_alone(self):
+        argv = [sys.executable, "-m", "logconvex.cli", "checks", "--only", "a"]
+        plain = subprocess.run(argv, capture_output=True, check=False, env=CLI_ENV)
+        timed = subprocess.run(argv + ["--timings"], capture_output=True, check=False, env=CLI_ENV)
+        assert timed.stdout == plain.stdout and timed.returncode == plain.returncode
+        assert plain.stderr == b""
+        lines = [json.loads(line) for line in timed.stderr.decode().splitlines()]
+        assert [t["check"] for t in lines] == [r["name"] for r in json.loads(plain.stdout)]
+        assert all(set(t) == {"check", "seconds"} and t["seconds"] > 0.0 for t in lines)
+
     def test_unattainable_tolerance_fails(self, capsys):
         code, out, _ = run_cli(capsys, "checks", "--only", "gamma", "--tol", "1e-30")
         assert code == 1

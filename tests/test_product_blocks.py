@@ -9,10 +9,14 @@ per level and order-p terms in their own scalar code, kept here as
 the forward chain's own call:
 the same state bits, the same exceptions with the same messages and
 attributes, and the same warnings, also where g fails past the level where
-the loop stops.
+the loop stops. A representer caches each block's g(k) and level terms for
+later calls (``Representer.product_terms``): a warm representer must give
+what a fresh one gives, and hold one entry per block whatever it is asked.
 """
 
 import math
+import random
+import tracemalloc
 import warnings
 from dataclasses import astuple
 from functools import lru_cache
@@ -25,7 +29,7 @@ from hypothesis import strategies as st
 
 from logconvex import NonFiniteError, RealFunction, Representer, builtin, extended_state, from_spec
 from logconvex import bohrmollerup as bm
-from logconvex.bohrmollerup import CHUNK, ORDER, POLE_TOL, SHRINK, ProductState, _log_terms
+from logconvex.bohrmollerup import BLOCK_ENDS, CHUNK, ORDER, POLE_TOL, SHRINK, ProductState, _log_terms
 from logconvex.errors import DivergenceError
 from logconvex.funcore import EPS
 from test_rational_family import rational
@@ -214,13 +218,18 @@ class TestBlocks:
     def test_one_call_of_g_for_the_default_tolerance(self, monkeypatch, x, chain):
         """Gamma(1/2) stops at n = 128: the first block (levels 4 .. 256) makes the one
         call, where two calls per level made twelve. The forward chain to 50.37 takes
-        its 50 factors from that call; the backward chain to -3.5 makes its own."""
+        its 50 factors from that call; the backward chain to -3.5 makes its own. A
+        second call on the same g takes g(k) from the first and calls g at x0+k alone."""
         calls = []
         values = Representer.values
         monkeypatch.setattr(Representer, "values", lambda g, xs: calls.append(len(xs)) or values(g, xs))
-        state = extended_state(builtin("identity"), x)
+        g = builtin("identity")
+        state = extended_state(g, x)
         assert state.n == 128 and state.converged
         assert calls == [(256 + 2 * ORDER + 1) + (256 + 1)] + chain
+        calls.clear()
+        assert extended_state(g, x) == state
+        assert calls == [256 + 1] + chain
 
 
 WINDOW = st.floats(1e-300, 1e300) | st.floats(-2.0, 0.0)
@@ -231,11 +240,54 @@ WINDOW = st.floats(1e-300, 1e300) | st.floats(-2.0, 0.0)
        st.lists(st.tuples(st.floats(1e-300, 1e300), st.lists(WINDOW, min_size=2 * ORDER, max_size=2 * ORDER),
                           st.floats(1e-300, 1e300)), min_size=1, max_size=8))
 def test_level_terms_are_the_scalar_rules_level_by_level(x0, rows):
-    """Each level's ``_level_terms`` has the bits of ``_gauss_tail`` and ``_sandwich_logs``
-    on that level, also for a window that holds a non-positive value."""
+    """Each level's ``_level`` and ``_level_terms`` have the bits of ``_gauss_tail`` and
+    ``_sandwich_logs`` on that level, also for a window that holds a non-positive value."""
     for g_n, rest, g_xn in rows:
-        got = bm._level_terms(x0, bm._coefficients(x0), [g_n, *rest], g_xn)
+        got = bm._level_terms(x0, bm._coefficients(x0), bm._level([g_n, *rest]), g_xn)
         log_ratio, log_gx, rel_gap = _sandwich_logs(None, x0, 4, 0.0, g_n, g_xn)
         want = (*_gauss_tail(x0, [g_n, *rest]), log_ratio, log_gx, rel_gap)
         assert [v.hex() if isinstance(v, float) else v for v in got] == \
             [v.hex() if isinstance(v, float) else v for v in want]
+
+
+CALLS = st.tuples(st.floats(-5.0, 40.0), st.floats(-12.0, -4.0).map(lambda e: 10.0 ** e), MAX_NS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(FAMILIES | st.just("exp(x^0.9)"), st.lists(CALLS, min_size=2, max_size=5))
+@example("identity", [(0.37, 1e-12, 100), (0.37, 1e-12, 300), (-2.6, 1e-10, 2 ** 20)])  # entries that grow
+@example("exp(x^0.9)", [(0.5, 1e-8, 2 ** 20), (0.25, 1e-12, 5000)])  # g overflows in the second block
+@example("x + 1/(x-10.5)^2", [(0.37, 1e-8, 2 ** 20), (0.5, 1e-8, 2 ** 20)])  # g(x0+k) alone faults
+def test_a_warm_representer_gives_the_cold_outcomes(spec, calls):
+    """One representer runs the calls in turn, each on what the earlier ones cached;
+    a fresh representer per call gives the same state bits, exceptions and warnings."""
+    warm = from_spec(spec)
+    for x, tol, max_n in calls:
+        assert outcome(warm, x, tol, max_n) == outcome(from_spec(spec), x, tol, max_n), (spec, x, tol, max_n)
+
+
+def test_the_cache_holds_one_entry_per_block_whatever_max_n():
+    """Sweeping x, tol and max_n over every block leaves one entry per BLOCK_ENDS value,
+    with the terms of the doubling levels alone, and no more memory than the full
+    blocks' g(k) and log g(k). ``x + 0.5*sin(x)`` converges like 1/n (the sandwich
+    fallback), so each call runs its levels to max_n."""
+    g = from_spec("x + 0.5*sin(x)")
+    extended_state(g, 0.37, 1e-8, 4)
+    max_ns = [*range(4, 300), *range(300, CHUNK + 1, 331), CHUNK]
+    random.Random(1).shuffle(max_ns)  # entries that grow, and hits at every max_n
+    tracemalloc.start()
+    try:
+        for i, max_n in enumerate(max_ns):
+            extended_state(g, 0.01 + (0.37 * i) % 1.0, 10.0 ** -(8 + i % 5), max_n)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(g.product_terms) == list(BLOCK_ENDS)
+    starts = (0, *BLOCK_ENDS)
+    full = 0
+    for start, end in zip(starts, BLOCK_ENDS):
+        num = g.product_terms[end]
+        assert num.start == start and num.g.size == end + 2 * ORDER + 1 - start
+        assert all(n & (n - 1) == 0 for n in num.levels), sorted(num.levels)
+        full += num.g.nbytes + num.logs.nbytes
+    assert held < full + 2 ** 15, (held, full)

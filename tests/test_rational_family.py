@@ -55,6 +55,9 @@ def oracle_d2_log(a, b, x):
 class TestRationalRepresenters:
     @settings(max_examples=60, deadline=None)
     @given(rational(), POINTS, st.sampled_from([1e-6, 1e-8, 1e-10]))
+    # far past the chunks that double: x + k/2 lies before the chunk of 65536 terms
+    @example(("2.0*(x+0.5)/((x+2.0))", 2.0, [0.5], [2.0]), 1e6, 1e-8)
+    @example(("2.0*(x+0.5)/((x+2.0))", 2.0, [0.5], [2.0]), 1e6, 1e-12)
     def test_series_is_the_trigamma_difference(self, rep, x, tol):
         spec, _, a, b = rep
         got = logconvexity_series(parse_representer(spec), x, tol)

@@ -1,6 +1,7 @@
 """Builtin representers, parsed representers, Artinian derivative chains."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from logconvex import (
     ZeroDerivative,
     artinian_chain,
     builtin,
+    extended_state,
     from_spec,
     function_from_source,
     parse_representer,
@@ -104,6 +106,14 @@ class TestParseRepresenter:
     def test_default_positivity_domain(self):
         r = parse_representer("x*(x+1)")
         assert r.positivity_domain == (0.0, math.inf)
+
+    def test_the_product_cache_leaves_eq_hash_repr_and_replace_alone(self):
+        g = parse_representer("x*(x+1)")
+        text = repr(g)
+        extended_state(g, 0.5)
+        assert g.product_terms and repr(g) == text
+        copy = replace(g)
+        assert copy == g and hash(copy) == hash(g) and copy.product_terms == {}
 
 
 class TestFromSpec:

@@ -9,6 +9,11 @@ type and message:
   value from);
 - every convexity_scan series value, scan report and Mellin probe report.
 
+The point_eval and report_grid states are recorded twice: "cold", on a
+representer built for that one call, and "warm", on one representer per
+family (per report) that has already run every call of the list once, so
+the product terms a representer caches serve it.
+
 The library is the ``logconvex`` on the import path, so one copy of this
 script serves any checkout. Run it against two checkouts and diff the files:
 
@@ -61,21 +66,30 @@ def _state(g, x, tol):
     return _outcome(lambda: astuple(lc.bohrmollerup.extended_state(g, x, tol)))
 
 
+def _cold_and_warm(calls: list) -> dict:
+    """The states of ``calls``, (family, x, tol) each, cold and warm."""
+    cold = [_state(ip.build_representer(lc, fam), x, tol) for fam, x, tol in calls]
+    reps = {fam.key: ip.build_representer(lc, fam) for fam, _, _ in calls}
+    for fam, x, tol in calls:
+        _state(reps[fam.key], x, tol)
+    return {"cold": cold, "warm": [_state(reps[fam.key], x, tol) for fam, x, tol in calls]}
+
+
 def point_eval(seed: int) -> list:
     inp = ip.point_inputs(seed)
-    reps = {fam.key: ip.build_representer(lc, fam) for fam in inp.families}
-    return [[p.family.key, p.x.hex(), p.tol, _state(reps[p.family.key], p.x, p.tol)]
-            for p in inp.points + inp.cli_points]
+    points = inp.points + inp.cli_points
+    states = _cold_and_warm([(p.family, p.x, p.tol) for p in points])
+    return [[p.family.key, p.x.hex(), p.tol, cold, warm]
+            for p, cold, warm in zip(points, states["cold"], states["warm"])]
 
 
 def report_grid(seed: int) -> list:
     inp = ip.report_inputs(seed)
     out = []
     for rep in inp.reports + inp.cli_reports:
-        g = ip.build_representer(lc, rep.family)
         xs = [rep.a + rep.step * i for i in range(-1, rep.n + 1)]  # the CLI's samples
         with np.errstate(over="ignore"):  # as the CLI runs them
-            out.append([rep.argv(), [_state(g, x, rep.tol) for x in xs]])
+            out.append([rep.argv(), _cold_and_warm([(rep.family, x, rep.tol) for x in xs])])
     return out
 
 
