@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, NonFiniteError, NonPositiveError, \
     PoleError, SeriesDivergence, ToleranceNotMet, ZeroValueError
-from .funcore import EPS
+from .funcore import EPS, log_d2
 from .representer import Representer
 
 DEFAULT_TOL = 1e-8
@@ -483,25 +483,16 @@ def interpolation_targets(g: Representer, n_max: int) -> list[InterpolationTarge
 
 
 def _series_terms(g: Representer, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """h = (g'/g)^2 - g''/g = -(log g)'' and (log g)' = g'/g at ``us``; raises
-    ZeroValueError where g vanishes. h is g'^2/(g g) - g''/g, except where g g is
-    subnormal or 0: there it squares g'/g, whose bits g g has lost."""
+    """h = -(log g)'' = -log_d2(g, g', g'') and (log g)' = g'/g at ``us``; raises
+    ZeroValueError where g vanishes. h never forms g g, so it needs no fallback
+    where g g overflows or is subnormal."""
     gv = g.values(us)
     least = float(np.fmin.reduce(np.abs(gv), initial=math.inf))  # skips nan, as comparisons do
     if least < POLE_TOL:
         i = int(np.flatnonzero(np.abs(gv) < POLE_TOL)[0])
         raise ZeroValueError(f"g vanishes at x+k={float(us[i])!r}")
     d1 = g.d1_values(us)
-    d2 = g.d2_values(us)
-    gg = gv * gv
-    low = None
-    if least * least < sys.float_info.min:  # the least g g, so some g g is subnormal or 0
-        low = gg < sys.float_info.min
-        gg[low] = 1.0  # no division by 0: these terms are replaced below
-    h = (d1 * d1) / gg - d2 / gv
-    if low is not None:
-        h[low] = (d1[low] / gv[low]) ** 2 - d2[low] / gv[low]
-    return h, d1 / gv
+    return -log_d2(gv, d1, g.d2_values(us)), d1 / gv
 
 
 def _gregory_tail(h: np.ndarray, dlog: np.ndarray, h_ref: float,
@@ -530,7 +521,8 @@ def _gregory_tail(h: np.ndarray, dlog: np.ndarray, h_ref: float,
 
 
 def logconvexity_series(g: Representer, x: float, tol: float = 1e-8) -> float:
-    """(log f)''(x) as the series sum_k h(x+k), h = (g'/g)^2 - g''/g = -(log g)''.
+    """(log f)''(x) as the series sum_k h(x+k), h = -(log g)'' = -log_d2(g, g', g''),
+    the rule of ``d2_log``: it never forms g g, so needs no fallback where g g does not fit.
 
     Terms are summed in chunks of 64, 128, ..., 65536. After each chunk, k
     terms in, Gregory's formula gives the rest of the series in closed form

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateArguments, LogconvexError, NonPositiveError, ZeroValueError
-from .funcore import Grid, RealFunction, default_step
+from .funcore import Grid, RealFunction, default_step, log_d2
 
 LOG_CONVEX = "LogConvex"
 NOT_LOG_CONVEX = "NotLogConvex"
@@ -17,6 +17,9 @@ INCONCLUSIVE = "Inconclusive"
 
 #: LogConvex verdict tolerance: min d2log >= -VERDICT_TOL_SCALE * (1 + |max d2log|).
 VERDICT_TOL_SCALE = 1e-7
+
+#: |f| below this is a zero of f: ``q_determinant`` raises and the scan's q is a gap.
+ZERO_TOL = 1e-300
 
 #: What a failed evaluation at one sample point raises; scans record a gap.
 EVALUATION_ERRORS = (LogconvexError, ArithmeticError, ValueError)
@@ -75,8 +78,8 @@ def q_determinant(f: RealFunction, x: float, h: float | None = None) -> float:
     differences with step ``h``.
     """
     fv = f(x)
-    if abs(fv) < 1e-300:
-        raise ZeroValueError(f"|f({x!r})| < 1e-300; the criterion needs a zero-free f")
+    if abs(fv) < ZERO_TOL:
+        raise ZeroValueError(f"|f({x!r})| < {ZERO_TOL!r}; the criterion needs a zero-free f")
     f1 = f.derivative(x, 1, h)
     f2 = f.derivative(x, 2, h)
     return fv * f2 - f1 * f1
@@ -85,19 +88,16 @@ def q_determinant(f: RealFunction, x: float, h: float | None = None) -> float:
 def d2_log(f: RealFunction, x: float, h: float | None = None) -> float:
     """(log f)''(x) for positive f.
 
-    Uses (f''f - f'^2)/f^2 with exact derivatives when both are present, or
-    f''/f - (f'/f)^2 where that form is not finite (f f or f'' f overflows, or
-    f f underflows to 0), otherwise a central second difference of log(f)
-    with step ``h``.
+    Uses ``log_d2``, f''/f - (f'/f)^2, with exact derivatives when both are
+    present: it never forms f f, so it needs no fallback where f f overflows
+    or underflows. Otherwise a central second difference of log(f) with step
+    ``h``.
     """
     fv = f(x)
     if fv <= 0.0:
         raise NonPositiveError(f"f({x!r}) = {fv!r} is not positive")
     if f.d1 is not None and f.d2 is not None:
-        f1 = float(f.d1(x))
-        f2 = float(f.d2(x))
-        d2 = (f2 * fv - f1 * f1) / (fv * fv) if fv * fv != 0.0 else math.nan
-        return d2 if math.isfinite(d2) else f2 / fv - (f1 / fv) * (f1 / fv)
+        return log_d2(fv, float(f.d1(x)), float(f.d2(x)))
     if h is None:
         h = default_step(x, 2)
     fp = f(x + h)
@@ -228,11 +228,11 @@ def scan_convexity(f: RealFunction, a: float, b: float, n: int, h: float | None 
 
 
 def exact_q_d2log(f: RealFunction, xs: np.ndarray) -> tuple[list[float], list[float | None], list[float | None]]:
-    """f, q = f f'' - f'^2 and (log f)'' = (f'' f - f'^2)/(f f) at every x, for f
-    with exact derivatives; f, f' and f'' come from ``_exact_values``. Where that
-    (log f)'' is not finite, it is f''/f - (f'/f)^2, as in ``d2_log``.
+    """f, q = f f'' - f'^2 and (log f)'' = f''/f - (f'/f)^2 at every x, for f with
+    exact derivatives; f, f' and f'' come from ``_exact_values``. (log f)'' is
+    ``log_d2``, as in ``d2_log``: it never forms f f, so it needs no fallback.
 
-    f is nan where a call raises. A point's q is a gap (None) where |f| < 1e-300,
+    f is nan where a call raises. A point's q is a gap (None) where |f| < ZERO_TOL,
     and its (log f)'' where f <= 0: the domain gaps of ``q_determinant`` and
     ``d2_log``, whose bits every other value has. A value is nan or infinite
     where f is or the arithmetic leaves float range; ``finite`` makes it a gap.
@@ -241,12 +241,8 @@ def exact_q_d2log(f: RealFunction, xs: np.ndarray) -> tuple[list[float], list[fl
     # ignore: inf and nan pass silently, as in the per-point float arithmetic
     with np.errstate(all="ignore"):
         q = fv * f2 - f1 * f1
-        d2 = (f2 * fv - f1 * f1) / (fv * fv)
-        if not math.isfinite(np.add.reduce(d2)):  # not finite where some value is not, or the sum overflows
-            out = ~np.isfinite(d2)
-            r = f1[out] / fv[out]
-            d2[out] = f2[out] / fv[out] - r * r
-    return fv.tolist(), _with_gaps(q, np.abs(fv) < 1e-300), _with_gaps(d2, fv <= 0.0)
+        d2 = log_d2(fv, f1, f2)
+    return fv.tolist(), _with_gaps(q, np.abs(fv) < ZERO_TOL), _with_gaps(d2, fv <= 0.0)
 
 
 def _with_gaps(values: np.ndarray, gap: np.ndarray) -> list[float | None]:

@@ -119,6 +119,16 @@ def _pow(a, b):
         raise DomainError(_POW_ZERO)
     with np.errstate(invalid="ignore"):
         out = np.power(a, b)
+    if b_arr.ndim:
+        # numpy squares, inverts or takes sqrt for a scalar exponent of 2, -1 or
+        # 0.5, which can differ in the last bit from its loop over an exponent
+        # array: redo those elements with a scalar exponent, so that c^x on a grid
+        # has the bits of c^x at each point. The first pass raised any signal.
+        with np.errstate(all="ignore"):
+            for s in (2.0, -1.0, 0.5):
+                hit = np.broadcast_to(b_arr == s, out.shape)
+                if hit.any():
+                    out[hit] = np.power(np.broadcast_to(a_arr, out.shape)[hit], s)
     if np.any(np.isnan(np.asarray(out))) and np.all(np.isfinite(a_arr)) and np.all(np.isfinite(b_arr)):
         raise DomainError("power evaluation left the real branch")
     zero = out == 0.0

@@ -170,6 +170,13 @@ class Grid:
         return np.column_stack([self.xs, self.ys])
 
 
+def log_d2(fv, f1, f2):
+    """(log f)'' = f''/f - (f'/f)^2 from f, f' and f'', on floats or arrays. It
+    never forms f f, so it leaves float range only where (f'/f)^2 or f''/f does."""
+    r = f1 / fv
+    return f2 / fv - r * r
+
+
 def fd_derivative(f: RealFunction, x: float, order: int, h: float | None = None) -> float:
     """Central-difference derivative of ``f`` at ``x``.
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from logconvex import (
 )
 from logconvex import bohrmollerup as bm
 from logconvex.bohrmollerup import reduce_to_base
+from logconvex.funcore import log_d2
 
 SQRT_PI = math.sqrt(math.pi)
 IDENTITY = builtin("identity")
@@ -412,12 +414,27 @@ class TestLogconvexitySeries:
         assert str(err.value) == "g vanishes at x+k=203.5"
 
     def test_underflowing_g_squared_keeps_the_terms(self):
-        """x^-130 squares below the smallest double from x+k = 15.5 on, where h is
-        (g'/g)^2 - g''/g: the sum is -130 psi1(1/2), with no warning (pytest makes
+        """x^-130 squares below the smallest double from x+k = 15.5 on; h never forms
+        g g, so the sum is -130 psi1(1/2), with no warning (pytest makes
         RuntimeWarnings errors)."""
         mp = pytest.importorskip("mpmath")
         s = logconvexity_series(from_spec("x^-130"), 0.5, 1e-8)
         assert s == pytest.approx(float(-130 * mp.psi(1, 0.5)), rel=1e-8)
+
+    @pytest.mark.parametrize("spec,weight", [("1e200*x", 1), ("1e150*x^3", 3)])
+    def test_overflowing_g_squared_keeps_the_terms(self, spec, weight):
+        """g g overflows from the first term on, but g'/g and g''/g do not: h, which
+        never forms g g, sums to weight * psi1(1/2) with no warning, where the
+        quotient g'^2/(g g) - g''/g summed nan terms and ran out of its budget."""
+        mp = pytest.importorskip("mpmath")
+        tol = 1e-10
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = logconvexity_series(from_spec(spec), 0.5, tol)
+        assert caught == []
+        with mp.workdps(30):
+            want = weight * mp.psi(1, mp.mpf(0.5))
+            assert float(abs(got - want)) <= tol * float(abs(want)), (spec, got)
 
     def test_identity_at_one_reaches_1e_12_in_few_terms(self, monkeypatch):
         """The Gregory tail meets tol 1e-8, which the k^-2 model missed after 2^24 terms."""
@@ -470,7 +487,7 @@ class TestLogconvexitySeries:
         for x in xs:
             us = x + np.arange(64, dtype=float)
             gv, d1, d2 = g.values(us), g.d1_values(us), g.d2_values(us)
-            terms = (d1 * d1) / (gv * gv) - d2 / gv
+            terms = -log_d2(gv, d1, d2)
             want = float(np.sum(terms)) + float(terms[-1]) * 63
             for tol in (1e-6, 1e-8):
                 got = logconvexity_series(g, x, tol)

@@ -186,12 +186,22 @@ class TestD2Log:
                                         (742.02, 0.0)])
     def test_exact_form_where_f_squared_overflows(self, x, want):
         """fib_real is about 1e154 to 1e155 here, so f'' f (and f f at -745 and 742.02)
-        overflows and (f'' f - f'^2)/(f f) is not finite: f''/f - (f'/f)^2 gives
-        (log f)'' (mpmath)."""
+        overflows: f''/f - (f'/f)^2, which forms neither, gives (log f)'' (mpmath)."""
         f = fib_real_fn()
         assert not math.isfinite(float(f.d2(x)) * f(x))
         for got in (d2_log(f, x), exact_q_d2log(f, np.array([x]))[2][0]):
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (x, got)
+
+    @pytest.mark.parametrize("x", [25.0, 30.0, 40.0])
+    def test_exact_form_where_only_f_squared_overflows(self, x):
+        """1e150*x^3 squares past float range here, while f'' f and f'^2 stay finite:
+        the quotient (f'' f - f'^2)/(f f) was a finite -0.0. f''/f - (f'/f)^2 is
+        -3/x^2 within the rounding of its two terms, 15/x^2 in all."""
+        f = function_from_source("1e150*x^3")
+        assert math.isinf(f(x) * f(x)) and math.isfinite(float(f.d2(x)) * f(x))
+        want = -3.0 / (x * x)
+        for got in (d2_log(f, x), exact_q_d2log(f, np.array([x]))[2][0]):
+            assert abs(got - want) <= 8 * np.finfo(float).eps * 15.0 / (x * x), (x, got)
 
     def test_consistency_with_q(self):
         """q(f)/f^2 = (log f)'' to 1e-6 wherever f > 1e-6, on random smooth f."""
@@ -299,6 +309,13 @@ class TestConvexityReport:
         report = scan_convexity(SQUARE, 0.5, 2.0, 41)
         assert report.verdict == NOT_LOG_CONVEX
         assert report.min_margin < -0.1
+
+    def test_not_log_convex_where_f_squared_overflows(self):
+        """f f of 1e150*x^3 overflows on [25, 40], where the quotient form read
+        (log f)'' = -3/x^2 as -0.0 and the verdict was LogConvex."""
+        report = scan_convexity(function_from_source("1e150*x^3"), 25.0, 40.0, 16)
+        assert report.verdict == NOT_LOG_CONVEX
+        assert report.min_margin == pytest.approx(-3.0 / 25.0 ** 2, rel=1e-14)
 
     def test_inconclusive_on_failures(self):
         report = scan_convexity(IDENTITY, -1.0, 1.0, 21)  # crosses zero: log fails
@@ -444,6 +461,7 @@ class TestGridPath:
     @example(function_from_source("2"), 0.5, 1.5, 9)
     @example(EXP, -1.0, 2.0, 17)
     @example(fib_real_fn(), 0.1, 3.8, 64)
+    @example(function_from_source("0.363^x"), 0.0, 1.5, 16)  # x = 0.5: sqrt, not pow
     def test_same_report_as_the_two_criteria(self, f, a, width, n):
         for errstate in ("ignore", "raise"):
             with np.errstate(all=errstate):

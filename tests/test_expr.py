@@ -337,6 +337,17 @@ class TestScalarGuards:
                 general = run(lambda t: ex._pow(t, np.asarray(b)), a, errstate())
                 assert fast == general, (a, b)
 
+    def test_exponent_array_matches_the_scalar_power(self):
+        # numpy squares, inverts or takes sqrt for a scalar exponent of 2, -1 or
+        # 0.5; its loop over an exponent array gave 0.363^0.5 and 0.363^-1 a last
+        # bit apart from those
+        exps = np.array([2.0, -1.0, 0.5, 1.0, 3.0, -0.5, 0.25])
+        for c in np.linspace(0.013, 4.9, 400):
+            for a, b in ((float(c), exps), (np.full(exps.size, c), exps)):
+                got = ex._pow(a, b)
+                want = [ex._pow(float(c), float(e)) for e in exps]
+                assert got.tolist() == want, (c, got, want)
+
     def test_zero_powers_take_c99_signs_on_every_path(self):
         # numpy's (-0)^0.5 is sqrt(-0) = -0 for a 0-d or scalar exponent and
         # +0 in its 1-d loop; C99 pow (math.pow) gives +0

@@ -8,11 +8,17 @@ all of them positive, the log-convex solution of f(x+1) = g(x) f(x), f(1) = 1, i
 so (log f)''(x) = sum_i psi1(x + a_i) - sum_j psi1(x + b_j). mpmath is the oracle.
 """
 
+import sys
+
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from logconvex import extend, extended_state, logconvexity_series, parse_representer
+from logconvex import d2_log, extend, extended_state, logconvexity_series, parse_representer
+from logconvex.bohrmollerup import POLE_TOL
+from logconvex.convexity import exact_q_d2log
+from logconvex.funcore import EPS
 
 mp = pytest.importorskip("mpmath")
 
@@ -98,3 +104,40 @@ class TestRationalRepresenters:
         got = logconvexity_series(parse_representer(spec), x, tol)
         want = oracle_d2_log(a, b, x)
         assert float(abs(got - want) / abs(want)) <= tol, (spec, x, tol)
+
+
+#: x^p, the other family whose scaled copies keep their (log g)''
+POWERS = st.floats(0.25, 4.0).map(lambda p: f"x^{round(p, 3)!r}")
+
+
+def normal(*arrays) -> bool:
+    """Every value is finite and either 0 or a normal double."""
+    return all(np.all(np.isfinite(v) & ((v == 0.0) | (np.abs(v) >= sys.float_info.min))) for v in arrays)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(rational().map(lambda r: r[0]), POWERS), st.integers(-300, 300), POINTS)
+@example("x^3.0", 150, 30.0)  # f f overflows, f'' f and f'^2 do not
+@example("x^3.0", -160, 2.5)  # f f is subnormal
+@example("x^1.0", 200, 0.5)  # g g overflows at every term of the series
+def test_scaling_leaves_log_d2_and_the_series(spec, e, x):
+    """(log(c f))'' = (log f)'', and the interpolant of c g is c^(x-1) times that of
+    g, so its series is the same. For c = 10^e, wherever c g, c g' and c g'' are
+    finite and normal, ``d2_log`` and ``exact_q_d2log`` of c g are those of g within
+    the rounding of f''/f and (f'/f)^2, and the series agree within tol. The series
+    of these families stops long before x + 2^16, so c g is checked up to there."""
+    c = 10.0 ** e
+    g, cg = parse_representer(spec), parse_representer(f"{c!r}*({spec})")
+    us = x + np.arange(2.0 ** 16)
+    with np.errstate(over="ignore"):  # an overflow is an inf, which ``normal`` rejects
+        cgv, *derivs = (np.asarray(fn(us), dtype=float) for fn in (cg.fn.fn, cg.fn.d1, cg.fn.d2))
+    # c g below POLE_TOL is a pole to the series
+    assume(normal(cgv, *derivs) and np.abs(cgv).min() >= POLE_TOL)
+    fv, f1, f2 = (float(fn(x)) for fn in (g.fn.fn, g.fn.d1, g.fn.d2))
+    width = 8 * EPS * ((f1 / fv) ** 2 + abs(f2 / fv))
+    for rule in (lambda f: d2_log(f, x), lambda f: exact_q_d2log(f, np.array([x]))[2][0]):
+        want, got = rule(g.fn), rule(cg.fn)
+        assert abs(got - want) <= width, (spec, e, x, got, want)
+    tol = 1e-8
+    want = logconvexity_series(g, x, tol)
+    assert abs(logconvexity_series(cg, x, tol) - want) <= tol * max(1.0, abs(want)), (spec, e, x)
