@@ -8,8 +8,10 @@ generalized Gauss product of Marichal & Zenaidi)
     log f(x) = lim_n  sum_{k<n} (log g(k) - log g(x+k)) + sum_{j=1..p} C(x, j) Delta^{j-1} log g(n),
 
 whose error is at most |C(x-1, p)| |Delta^p log g(n)| where log g is
-p-convex or p-concave past n (Delta is the forward difference in n). Where
-that is not seen, the plain product's two-sided bounds
+p-convex or p-concave past n (Delta is the forward difference in n). The
+order is p = 4, raised up to 8 at a level after which a block of g(x+k) runs
+out, where the higher order's bound is smaller. Where the hypothesis is not
+seen, the plain product's two-sided bounds
 
     p_{n+1}(x) g(n)^x  <=  f(x)  <=  p_n(x) g(n)^x,   p_n(x) = prod_{k<n} g(k)/g(x+k),
 
@@ -44,6 +46,10 @@ SERIES_BUDGET = 2 ** 24
 
 #: Order p of the generalized Gauss product: its error falls like n^-p.
 ORDER = 4
+
+#: The highest order a level may take where the loop would go on to new values of
+#: g(x0+k) (``_base_state``); there the window is g(n .. n + 2 TOP_ORDER).
+TOP_ORDER = 8
 
 #: Delta log g(n) must fall to at most this share of its value one doubling
 #: earlier before the order-p bound is trusted; exp(x), outside the class the
@@ -148,34 +154,47 @@ def _shift_product(g: Representer, x: float, count: int) -> float:
     return acc
 
 
-def _coefficients(x0: float) -> tuple[list[float], float]:
-    """([C(x0, j) for j = 1..p], C(x0-1, p)), by the products of the order-p terms."""
-    cs, c, c_prev = [], 1.0, 1.0
-    for j in range(1, ORDER + 1):
+def _coefficients(x0: float, order: int) -> tuple[list[float], list[float]]:
+    """([C(x0, j)], [C(x0-1, j)]) for j = 1..order, by running products: the
+    coefficients of the order-p terms for every p up to ``order``."""
+    cs, cps, c, c_prev = [], [], 1.0, 1.0
+    for j in range(1, order + 1):
         c *= (x0 - j + 1) / j
         c_prev *= (x0 - j) / j
         cs.append(c)
-    return cs, c_prev
+        cps.append(c_prev)
+    return cs, cps
 
 
-def _differences(vals: list[float]) -> tuple[list[float], int, float]:
-    """([Delta^j v(0) for j = 0..ORDER], signs, allowance) from vals = v(0 .. 2 ORDER):
+def _differences(vals: list[float], order: int) -> tuple[list[float], int, float]:
+    """([Delta^j v(0) for j = 0..p], signs, allowance) from vals = v(0 .. 2p), p = ``order``:
     the one difference rule of the product's levels and the series' chunks.
 
-    ``signs`` holds the signs Delta^ORDER v keeps over 0 .. ORDER: bit 1 for
+    ``signs`` holds the signs Delta^p v keeps over 0 .. p: bit 1 for
     >= 0, bit 2 for <= 0, 0 where it keeps neither. Where the exact values keep
-    no one sign, a Delta^ORDER v within 2^ORDER eps max|v| of 0, the rounding
+    no one sign, a Delta^p v within 2^p eps max|v| of 0, the rounding
     of the differences, counts as either sign, and ``allowance`` is that width,
-    the error a bound from Delta^ORDER v must add; elsewhere it is 0.
+    the error a bound from Delta^p v must add; elsewhere it is 0.
     """
     d = vals
     heads = [d[0]]
-    for _ in range(ORDER):
+    for _ in range(order):
         d = list(map(operator.sub, d[1:], d))
         heads.append(d[0])
     lo, hi = min(d), max(d)
-    allowance = 0.0 if lo >= 0.0 or hi <= 0.0 else 2 ** ORDER * EPS * max(map(abs, vals))
+    allowance = 0.0 if lo >= 0.0 or hi <= 0.0 else 2 ** order * EPS * max(map(abs, vals))
     return heads, (lo >= -allowance) | 2 * (hi <= allowance), allowance
+
+
+def _gauss_terms(coeffs: tuple[list[float], list[float]], d: list[float], allowance: float,
+                 p: int) -> tuple[float, float]:
+    """(sum_{j=1..p} C(x0, j) Delta^{j-1} log g(n), |C(x0-1, p)| (|Delta^p log g(n)| + allowance))
+    from ``coeffs`` = ``_coefficients(x0, order)``, order >= p, and d = [Delta^j log g(n), j = 0..p]."""
+    cs, cps = coeffs
+    tail = 0.0
+    for c, dj in zip(cs[:p], d):
+        tail += c * dj
+    return tail, abs(cps[p - 1]) * (abs(d[p]) + allowance)
 
 
 def _level(win: list[float]) -> tuple:
@@ -185,14 +204,14 @@ def _level(win: list[float]) -> tuple:
     A window holding a non-positive value has no differences: (log g(n), None, 0, 0.0, g(n)).
     """
     if min(win) > 0.0:
-        d, signs, allowance = _differences(list(map(math.log, win)))
+        d, signs, allowance = _differences(list(map(math.log, win)), ORDER)
         return d[0], d, signs, allowance, win[0]
     return math.log(win[0]), None, 0, 0.0, win[0]
 
 
-def _level_terms(x0: float, coeffs: tuple[list[float], float], level: tuple, gx: float) -> tuple:
+def _level_terms(x0: float, coeffs: tuple[list[float], list[float]], level: tuple, gx: float) -> tuple:
     """The order-p and sandwich terms at x0 of a level n from its ``_level`` terms and
-    ``gx`` = g(x0+n) > 0, with ``coeffs`` = ``_coefficients(x0)``.
+    ``gx`` = g(x0+n) > 0, with ``coeffs`` = ``_coefficients(x0, ORDER)``.
 
     Returns (sum_{j=1..p} C(x0, j) Delta^{j-1} log g(n),
     |C(x0-1, p)| (|Delta^p log g(n)| + allowance), Delta log g(n), signs,
@@ -203,22 +222,58 @@ def _level_terms(x0: float, coeffs: tuple[list[float], float], level: tuple, gx:
     if d is None:
         tail, bound, d1 = 0.0, math.inf, math.nan
     else:
-        cs, c_last = coeffs
-        tail = 0.0
-        for c, dj in zip(cs, d):
-            tail += c * dj
-        bound, d1 = abs(c_last) * (abs(d[ORDER]) + allowance), d[1]
+        (tail, bound), d1 = _gauss_terms(coeffs, d, allowance, ORDER), d[1]
     # as Python floats, a ratio past float range is inf and raises no numpy warning
     return tail, bound, d1, signs, log_gn - math.log(gx), x0 * log_gn, abs(gx / g_n - 1.0)
+
+
+def _high_orders(g: Representer, prev: int, n: int, num: _Numerator | None = None) -> tuple:
+    """The x-independent terms of orders ORDER+1 .. TOP_ORDER at level n, whose level
+    before is ``prev`` (0 at the first level): (p, [Delta^j log g(n) for j = 0..p],
+    allowance) for each p at which Delta^p log g keeps one sign over n .. n+p that it
+    kept over prev .. prev+p too, with the signs and allowance of ``_differences``.
+
+    g at prev .. prev+2 TOP_ORDER and n .. n+2 TOP_ORDER comes from ``num`` as far
+    as it reaches, the rest from one call of g. Where that call meets a fault (an
+    exception or a floating-point signal), or a value is <= 0, no order qualifies:
+    the result is empty, and nothing is raised or warned.
+    """
+    wins, rest = [], []
+    for k in (prev, n) if prev else (n,):
+        win = num.g[k - num.start:k - num.start + 2 * TOP_ORDER + 1].tolist() if num is not None else []
+        rest.extend(range(k + len(win), k + 2 * TOP_ORDER + 1))
+        wins.append(win)
+    if rest:
+        try:
+            with np.errstate(all="raise"):
+                vals = g.values(np.array(rest, dtype=float)).tolist()
+        except Exception:
+            return ()
+        for win in wins:
+            i = 2 * TOP_ORDER + 1 - len(win)
+            win.extend(vals[:i])
+            vals = vals[i:]
+    if not min(map(min, wins)) > 0.0:
+        return ()
+    logs = [list(map(math.log, win)) for win in wins]
+    out = []
+    for p in range(ORDER + 1, TOP_ORDER + 1):
+        kept = 3
+        for v in logs:  # the level before, then level n, whose terms are kept
+            d, signs, allowance = _differences(v[:2 * p + 1], p)
+            kept &= signs
+        if kept:
+            out.append((p, d, allowance))
+    return tuple(out)
 
 
 class _Numerator:
     """The product's x-independent terms for one block of levels: g(k) and log g(k)
     for k = start .. start + g.size - 1, where log g(0) := 0 (g.size covers the
-    block's windows), and the ``_level`` terms of the block's doubling levels,
-    each formed when a loop first reaches it."""
+    block's windows), and the ``_level`` and ``_high_orders`` terms of the block's
+    doubling levels, each formed when a loop first asks for it."""
 
-    __slots__ = ("start", "g", "logs", "levels")
+    __slots__ = ("start", "g", "logs", "levels", "highs")
 
     def __init__(self, start: int, g: np.ndarray):
         self.start, self.g = start, g
@@ -226,6 +281,7 @@ class _Numerator:
         if start == 0:
             self.logs[0] = 0.0
         self.levels: dict[int, tuple] = {}
+        self.highs: dict[int, tuple] = {}
 
     def level(self, n: int) -> tuple:
         got = self.levels.get(n)
@@ -234,6 +290,14 @@ class _Numerator:
             got = _level(self.g[i:i + 2 * ORDER + 1].tolist())
             if n & (n - 1) == 0:  # the doublings from 4, which every max_n shares
                 self.levels[n] = got
+        return got
+
+    def high_orders(self, g: Representer, prev: int, n: int) -> tuple:
+        got = self.highs.get(n)
+        if got is None:
+            got = _high_orders(g, prev, n, self)
+            if n & (n - 1) == 0:  # a doubling, whose level before is n/2 (none for 4)
+                self.highs[n] = got
         return got
 
 
@@ -298,7 +362,15 @@ def _base_state(g: Representer, x0: float, m: int, tol: float,
     representer, whose log g oscillates) the value is the sandwich midpoint,
     and the bound covers half the sandwich and, after the first level, the
     move since the last level: the sandwich alone brackets f only where f is
-    log-convex. Either bound
+    log-convex.
+
+    The order is p = ORDER, except where the loop would go on to new values of
+    g(x0+k): at the last level of a block (n = max_n or in BLOCK_ENDS) and at
+    every level past CHUNK, which n alone decides, so a faulted block's replay
+    decides alike. There a trusted order-ORDER bound that with its rounding
+    allowance is above ``tol`` is set against the orders up to TOP_ORDER, each
+    trusted by the same rule at its own p (``_high_orders``), and the level takes
+    the trusted order with the smallest bound, with its tail. Either bound
     adds a rounding allowance of (n + |m| + 1) eps for the n terms and the
     |m|-step scaling. DivergenceError is raised when the ratio gap
     |g(x+n)/g(n) - 1| fails to decrease over three successive doublings, the
@@ -312,13 +384,15 @@ def _base_state(g: Representer, x0: float, m: int, tol: float,
     value has the bits of a level's own calls. Where the block's call meets a
     fault, and past CHUNK, each level makes its own calls: ``_log_terms`` over
     [n/2, n) in chunks of CHUNK, then g at the 2p+2 points. Either way, one
-    ``_level_terms`` call gives the level's terms at x0.
+    ``_level_terms`` call gives the level's terms at x0. The orders past ORDER
+    take g(n+2p+1 .. n + 2 TOP_ORDER) from one more call, cached with the
+    block's level terms.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
     if max_n < 4:
         raise ValueError("max_n must be >= 4")
-    coeffs = _coefficients(x0)
+    coeffs = _coefficients(x0, ORDER)
     n, have = 4, 0  # log_pn sums the log terms for k < have
     log_pn = 0.0
     prev_gap, prev_log_value = math.inf, None
@@ -343,16 +417,26 @@ def _base_state(g: Representer, x0: float, m: int, tol: float,
                 _log_terms(g, x0, n, n + 1)  # raises the k = n term's PoleError or NonPositiveError
             level = _level(win)
         tail, bound, d1, signs, log_ratio, log_gx, rel_gap = _level_terms(x0, coeffs, level, gxn)
-        have = n
+        rounding = (n + abs(m) + 1) * EPS
         log_pn1 = log_pn + log_ratio
         if signs & prev_signs and (d1 == 0.0 or abs(d1) <= SHRINK * abs(prev_d1)):
+            # past a block's last level the loop needs new g(x0+k): try the higher orders first
+            if bound + rounding > tol and (n == max_n or n in BLOCK_ENDS or n > CHUNK):
+                highs = num.high_orders(g, have, n) if block is not None else _high_orders(g, have, n)
+                if highs:
+                    top = _coefficients(x0, TOP_ORDER)
+                    for p, d, allowance in highs:
+                        tail_p, bound_p = _gauss_terms(top, d, allowance, p)
+                        if bound_p < bound:
+                            tail, bound = tail_p, bound_p
             log_value = log_pn + tail
         else:
             log_value = 0.5 * (log_pn + log_pn1) + log_gx
             bound = 0.5 * abs(log_pn - log_pn1)
             if prev_log_value is not None:  # the sandwich alone brackets only log-convex f
                 bound = max(bound, abs(log_value - prev_log_value))
-        bound += (n + abs(m) + 1) * EPS
+        bound += rounding
+        have = n
         if bound < best[0]:
             best = (bound, n, log_pn, log_value, rel_gap)
         if bound <= tol:
@@ -511,7 +595,7 @@ def _gregory_tail(h: np.ndarray, dlog: np.ndarray, h_ref: float,
     if not ((h0 == 0.0 or h0 <= SHRINK * h_ref)
             and (dlog0 == 0.0 or abs(dlog0) <= SHRINK * dlog_ref)):
         return None
-    d, signs, allowance = _differences(h.tolist())
+    d, signs, allowance = _differences(h.tolist(), ORDER)
     if not signs:
         return None
     tail = dlog0

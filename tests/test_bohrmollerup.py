@@ -51,7 +51,7 @@ def hurwitz_zeta2(x, terms=200_000):
 def order_p_terms(g, x0, n):
     """(tail, bound, Delta log g(n), the signs Delta^p log g keeps) of the product's level n at x0."""
     win = g.values(n + np.arange(2 * bm.ORDER + 1, dtype=float)).tolist()
-    return bm._level_terms(x0, bm._coefficients(x0), bm._level(win), g(x0 + n))[:4]
+    return bm._level_terms(x0, bm._coefficients(x0, bm.ORDER), bm._level(win), g(x0 + n))[:4]
 
 
 class TestReduceToBase:

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from logconvex import NonFiniteError, RealFunction, Representer, builtin, extended_state, from_spec
 from logconvex import bohrmollerup as bm
-from logconvex.bohrmollerup import BLOCK_ENDS, CHUNK, ORDER, POLE_TOL, SHRINK, ProductState, _log_terms
+from logconvex.bohrmollerup import BLOCK_ENDS, CHUNK, ORDER, POLE_TOL, SHRINK, TOP_ORDER, ProductState, _log_terms
 from logconvex.errors import DivergenceError
 from logconvex.funcore import EPS
 from test_rational_family import rational
@@ -44,8 +44,8 @@ def _sandwich_logs(g: Representer, x: float, n: int, log_pn: float, g_n: float,
     return log_pn + (math.log(g_n) - math.log(g_xn)), x * math.log(g_n), abs(g_xn / g_n - 1.0)
 
 
-def _gauss_tail(x: float, vals: list[float]) -> tuple[float, float, float, int]:
-    """The order-p terms from vals = g(n .. n+2p), one level at a time.
+def _gauss_tail(x: float, vals: list[float], order: int) -> tuple[float, float, float, int]:
+    """The order-p terms from vals = g(n .. n+2p), p = ``order``, one level at a time.
 
     Returns (sum_{j=1..p} C(x, j) Delta^{j-1} log g(n),
     |C(x-1, p)| (|Delta^p log g(n)| + w), Delta log g(n), signs). Over n .. n+p,
@@ -56,25 +56,54 @@ def _gauss_tail(x: float, vals: list[float]) -> tuple[float, float, float, int]:
     if not min(vals) > 0.0:
         return 0.0, math.inf, math.nan, 0
     rows = [[math.log(v) for v in vals]]  # rows[j] = Delta^j log g over the window
-    for _ in range(ORDER):
+    for _ in range(order):
         rows.append([b - a for a, b in zip(rows[-1], rows[-1][1:])])
-    top = rows[ORDER]
+    top = rows[order]
     mixed = any(v > 0.0 for v in top) and any(v < 0.0 for v in top)
-    w = 2 ** ORDER * EPS * max(abs(v) for v in rows[0]) if mixed else 0.0
+    w = 2 ** order * EPS * max(abs(v) for v in rows[0]) if mixed else 0.0
     signs = (1 if all(v >= -w for v in top) else 0) | (2 if all(v <= w for v in top) else 0)
     tail, c, c_prev = 0.0, 1.0, 1.0  # c = C(x, j), c_prev = C(x-1, j)
-    for j in range(1, ORDER + 1):
+    for j in range(1, order + 1):
         c *= (x - j + 1) / j
         c_prev *= (x - j) / j
         tail += c * rows[j - 1][0]
     return tail, abs(c_prev) * (abs(top[0]) + w), rows[1][0], signs
 
 
+def _highest_trusted(g: Representer, x0: float, prev: int, n: int, tail: float,
+                     bound: float) -> tuple[float, float]:
+    """The block-end rule at level n, whose level before is ``prev`` (0 at the first):
+    (tail, bound) of the order p in ORDER .. TOP_ORDER with the smallest bound among
+    those whose Delta^p log g keeps one sign over n .. n+p that it kept over
+    prev .. prev+p too; order ORDER's are ``tail`` and ``bound``. One call of g at
+    both windows, g(prev .. prev+2 TOP_ORDER) and g(n .. n+2 TOP_ORDER); a fault in it
+    or a value <= 0 leaves order ORDER's terms."""
+    starts = [k for k in (prev, n) if k]
+    try:
+        with np.errstate(all="raise"):
+            vals = g.values(np.array([k + i for k in starts for i in range(2 * TOP_ORDER + 1)], dtype=float))
+    except Exception:  # noqa: BLE001 - every fault leaves order ORDER
+        return tail, bound
+    if not vals.min() > 0.0:
+        return tail, bound
+    *before, win = [vals[i:i + 2 * TOP_ORDER + 1].tolist() for i in range(0, vals.size, 2 * TOP_ORDER + 1)]
+    for p in range(ORDER + 1, TOP_ORDER + 1):
+        tail_p, bound_p, _, signs = _gauss_tail(x0, win[:2 * p + 1], p)
+        for w in before:
+            signs &= _gauss_tail(x0, w[:2 * p + 1], p)[3]
+        if signs and bound_p < bound:
+            tail, bound = tail_p, bound_p
+    return tail, bound
+
+
 def reference_base_state(g: Representer, x0: float, m: int, tol: float,
                          max_n: int) -> tuple[ProductState, None]:
     """The product loop with two calls of g per level: each level sums the log terms of
-    [n/2, n) with ``_log_terms``, then evaluates g at n .. n+2p and x0+n. It hands
-    the forward scaling no values of g, so the scaling makes its own call."""
+    [n/2, n) with ``_log_terms``, then evaluates g at n .. n+2p and x0+n. Where the
+    loop would go on to a new block of g(x0+k), at n = max_n, a block end or any n
+    past CHUNK, a trusted order-p bound above tol tries the orders up to TOP_ORDER
+    (``_highest_trusted``). It hands the forward scaling no values of g, so the
+    scaling makes its own call."""
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
     if max_n < 4:
@@ -89,20 +118,23 @@ def reference_base_state(g: Representer, x0: float, m: int, tol: float,
     while True:
         for lo in range(have, n, CHUNK):
             log_pn += _log_terms(g, x0, lo, min(lo + CHUNK, n))
-        have = n
+        prev, have = have, n
         # g at n .. n+2p for the order-p terms, then at x0 + n for the sandwich
         vals = g.values(np.array([*range(n, n + 2 * ORDER + 1), x0 + n], dtype=float)).tolist()
         log_pn1, log_gx, rel_gap = _sandwich_logs(g, x0, n, log_pn, vals[0], vals[-1])
-        tail, bound, d1, signs = _gauss_tail(x0, vals[:-1])
+        tail, bound, d1, signs = _gauss_tail(x0, vals[:-1], ORDER)
+        rounding = (n + abs(m) + 1) * EPS
         # the order-p bound needs Delta^p log g to keep the sign it kept at the last level
         if signs & prev_signs and (d1 == 0.0 or abs(d1) <= SHRINK * abs(prev_d1)):
+            if bound + rounding > tol and (n == max_n or n in BLOCK_ENDS or n > CHUNK):
+                tail, bound = _highest_trusted(g, x0, prev, n, tail, bound)
             log_value = log_pn + tail
         else:
             log_value = 0.5 * (log_pn + log_pn1) + log_gx
             bound = 0.5 * abs(log_pn - log_pn1)
             if prev_log_value is not None:  # the sandwich alone brackets only log-convex f
                 bound = max(bound, abs(log_value - prev_log_value))
-        bound += (n + abs(m) + 1) * EPS
+        bound += rounding
         if bound < best[0]:
             best = (bound, n, log_pn, log_value, rel_gap)
         if bound <= tol:
@@ -192,6 +224,21 @@ class TestBlocks:
         assert got[0][0] == n
         assert got == reference_outcome(g, 0.37, 1e-8, max_n)
 
+    @pytest.mark.parametrize("g", [
+        representer("x - exp(5*x-1350)"),  # g(272) < 0
+        Representer(fn=RealFunction(fn=lambda t: t * np.exp(np.where(t > 270.0, 1000.0, 0.0)), name="overflowing")),
+        Representer(fn=RealFunction(fn=lambda t: t, domain=(-math.inf, 270.0), name="clipped")),
+    ], ids=["non-positive", "signal", "exception"])
+    def test_a_fault_in_the_higher_orders_window_leaves_order_4(self, g):
+        """g fails only in g(265 .. 272), the values the orders past ORDER add at n = 256.
+        With max_n = 256 the level keeps order 4's bound, above tol 1e-12, and nothing is
+        raised or warned; without, level 512's own call raises the fault."""
+        got, caught = outcome(g, 0.5, 1e-12, 256)
+        assert got[0] == 256 and not got[-1] and caught == []
+        assert bm._high_orders(g, 128, 256) == ()
+        for max_n in (256, 2 ** 20):
+            assert outcome(g, 0.5, 1e-12, max_n) == reference_outcome(g, 0.5, 1e-12, max_n)
+
     def test_a_late_fault_is_neither_raised_nor_warned_about(self):
         state, caught = outcome(representer("x + exp(5*x-600)"), 0.5, 1e-6)
         assert state[0] == 64 and state[-1] and caught == []
@@ -231,6 +278,23 @@ class TestBlocks:
         assert extended_state(g, x) == state
         assert calls == [256 + 1] + chain
 
+    @pytest.mark.parametrize("spec", ["identity", "x+0.37", "x*(x+1)", "power:c=0.7", "power:c=1.5"])
+    def test_one_call_of_g_at_x0_plus_k_for_tol_1e_12(self, monkeypatch, spec):
+        """Order 4 meets tol 1e-12 only at n = 2048, in the second block. The first
+        block's last level, n = 256, tries the orders up to TOP_ORDER instead and stops
+        there, so g(x0+k) is evaluated once, for k up to 256. The values the higher
+        orders add, g(265 .. 272), take one more call on a fresh g, and none on a warm one."""
+        calls = []
+        values = Representer.values
+        monkeypatch.setattr(Representer, "values", lambda g, xs: calls.append(len(xs)) or values(g, xs))
+        g = from_spec(spec)
+        for i, x in enumerate((0.05, 0.37, 0.5, 0.93)):
+            state = extended_state(g, x, 1e-12)
+            assert state.n == 256 and state.converged, (x, state)
+            first = [(256 + 2 * ORDER + 1) + (256 + 1), 2 * (TOP_ORDER - ORDER)]
+            assert calls == (first if i == 0 else [256 + 1]), (x, calls)
+            calls.clear()
+
 
 WINDOW = st.floats(1e-300, 1e300) | st.floats(-2.0, 0.0)
 
@@ -243,9 +307,9 @@ def test_level_terms_are_the_scalar_rules_level_by_level(x0, rows):
     """Each level's ``_level`` and ``_level_terms`` have the bits of ``_gauss_tail`` and
     ``_sandwich_logs`` on that level, also for a window that holds a non-positive value."""
     for g_n, rest, g_xn in rows:
-        got = bm._level_terms(x0, bm._coefficients(x0), bm._level([g_n, *rest]), g_xn)
+        got = bm._level_terms(x0, bm._coefficients(x0, bm.ORDER), bm._level([g_n, *rest]), g_xn)
         log_ratio, log_gx, rel_gap = _sandwich_logs(None, x0, 4, 0.0, g_n, g_xn)
-        want = (*_gauss_tail(x0, [g_n, *rest]), log_ratio, log_gx, rel_gap)
+        want = (*_gauss_tail(x0, [g_n, *rest], ORDER), log_ratio, log_gx, rel_gap)
         assert [v.hex() if isinstance(v, float) else v for v in got] == \
             [v.hex() if isinstance(v, float) else v for v in want]
 
@@ -291,3 +355,53 @@ def test_the_cache_holds_one_entry_per_block_whatever_max_n():
         assert all(n & (n - 1) == 0 for n in num.levels), sorted(num.levels)
         full += num.g.nbytes + num.logs.nbytes
     assert held < full + 2 ** 15, (held, full)
+
+
+def test_order_4_settles_the_tol_1e_8_states(monkeypatch):
+    """Over seeded points of the Gamma-type families, order 4 meets tol 1e-8 inside a
+    block, where no higher order is tried: with TOP_ORDER = ORDER every state keeps
+    its bits. Fresh representers, so no cached terms of the higher orders are reused."""
+    rng = random.Random(25)
+    specs = ["identity", "x*(x+1)", *(f"x+{round(rng.uniform(0.05, 6.0), 3)!r}" for _ in range(4)),
+             *(f"power:c={round(rng.uniform(0.2, 3.0), 3)!r}" for _ in range(4))]
+    calls = [(spec, rng.uniform(-5.0, 40.0)) for spec in specs for _ in range(30)]
+    default = [outcome(from_spec(spec), x, 1e-8) for spec, x in calls]
+    monkeypatch.setattr(bm, "TOP_ORDER", ORDER)
+    assert [outcome(from_spec(spec), x, 1e-8) for spec, x in calls] == default
+
+
+def test_the_higher_orders_are_kept_for_doubling_levels_alone():
+    """``power:c=40`` tries the higher orders at the last level of the first block for
+    tol 1e-10 and below. Sweeping x, tol and max_n keeps their terms for
+    the doubling levels alone, in the one entry per block, within the memory bound
+    of ``test_the_cache_holds_one_entry_per_block_whatever_max_n``."""
+    g = from_spec("power:c=40")
+    max_ns = [*range(4, 300), *range(300, 4097, 97), 4096]
+    random.Random(2).shuffle(max_ns)
+    tracemalloc.start()
+    try:
+        for i, max_n in enumerate(max_ns):
+            extended_state(g, 0.05 + 0.9 * ((0.37 * i) % 1.0), 10.0 ** -(10 + i % 4), max_n)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(g.product_terms) == list(BLOCK_ENDS[:2]) and g.product_terms[256].highs
+    full = 0
+    for num in g.product_terms.values():
+        assert all(n & (n - 1) == 0 for n in num.highs), sorted(num.highs)
+        full += num.g.nbytes + num.logs.nbytes
+    assert held < full + 2 ** 15, (held, full)
+
+
+@pytest.mark.parametrize("spec,flips", [("x*exp(3*exp(-x/50))", [6]), ("x^2*exp(10*exp(-x/80))", [5, 6])])
+def test_a_higher_order_must_keep_the_sign_of_the_level_before(spec, flips):
+    """log g = log x^a + c exp(-x/s): the exponential's differences shrink like
+    (1/s)^p and log x^a's like p!/n^p, so which one sets the sign of Delta^p log g
+    can change between n = 128 and 256 for some orders p alone. Those orders keep one
+    sign over each window, a different one, and are not trusted at 256; the others
+    are those whose signs by ``_gauss_tail`` agree."""
+    g = from_spec(spec)
+    wins = [g.values(k + np.arange(2 * TOP_ORDER + 1, dtype=float)).tolist() for k in (128, 256)]
+    signs = {p: [_gauss_tail(0.5, w[:2 * p + 1], p)[3] for w in wins] for p in range(ORDER + 1, TOP_ORDER + 1)}
+    assert [p for p, (a, b) in signs.items() if a and b and not a & b] == flips
+    assert [p for p, *_ in bm._high_orders(g, 128, 256)] == [p for p, (a, b) in signs.items() if a & b]

@@ -179,6 +179,23 @@ class TestFibonacci:
             x = float(x)
             assert g(x) == pytest.approx(fib_real(x + 1.0) / fib_real(x), rel=1e-12)
 
+    @pytest.mark.parametrize("x", [-223.5, -372.5, -521.5])
+    def test_half_integers_far_left_match_mpmath(self, x):
+        """cos(pi x) = 0 and sin(pi x) = +-1 exactly here; from the rounded pi x, cos was
+        about 1e-14 and phi^-x made fib_real(-223.5) 1.8e33 rather than 8.7e-48. The
+        rounding of phi itself leaves a relative error of about |x| eps/2."""
+        mp = pytest.importorskip("mpmath")
+        f = fib_real_fn()
+        with mp.workdps(50):
+            phi, t = (1 + mp.sqrt(5)) / 2, mp.mpf(x)
+            c, s, lp = mp.cospi(t), mp.sinpi(t), mp.log(phi)
+            want = [(phi ** t - c / phi ** t) / mp.sqrt(5),
+                    (lp * phi ** t + (mp.pi * s + lp * c) / phi ** t) / mp.sqrt(5),
+                    (lp ** 2 * phi ** t - ((lp ** 2 - mp.pi ** 2) * c + 2 * mp.pi * lp * s) / phi ** t) / mp.sqrt(5)]
+            for got, w in zip((fib_real(x), f.d1(x), f.d2(x)), want):
+                assert abs(got - w) <= abs(x) * 2.2e-16 * abs(w), (got, w)
+        assert fib_real(np.array([x, x + 1.0]))[0] == fib_real(x)
+
     def test_exact_derivatives_match_fd(self):
         f = fib_real_fn()
         for x in (-1.3, 0.4, 2.7):

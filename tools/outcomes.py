@@ -25,7 +25,9 @@ script serves any checkout. Run it against two checkouts and diff the files:
     diff old.json new.json
 
 or summarize that diff: per section, how many floats moved and by how many
-ulps, and how many other values changed:
+ulps, and how many other values changed; point_eval and report_grid per
+(family, tol) stratum, with how many states moved and, over those, the worst
+error against perfbench's mpmath oracle and how many converged, before and after:
 
     PYTHONPATH=src python tools/outcomes.py --compare old.json new.json
 
@@ -78,21 +80,18 @@ def _state(g, x, tol):
     return _outcome(lambda: astuple(lc.bohrmollerup.extended_state(g, x, tol)))
 
 
-def _cold_and_warm(calls: list) -> dict:
-    """The states of ``calls``, (family, x, tol) each, cold and warm."""
+def _cold_and_warm(calls: list) -> list:
+    """[family key, x, tol, cold state, warm state] per call of ``calls``, (family, x, tol) each."""
     cold = [_state(ip.build_representer(lc, fam), x, tol) for fam, x, tol in calls]
     reps = {fam.key: ip.build_representer(lc, fam) for fam, _, _ in calls}
     for fam, x, tol in calls:
         _state(reps[fam.key], x, tol)
-    return {"cold": cold, "warm": [_state(reps[fam.key], x, tol) for fam, x, tol in calls]}
+    return [[fam.key, x.hex(), tol, c, _state(reps[fam.key], x, tol)] for (fam, x, tol), c in zip(calls, cold)]
 
 
 def point_eval(seed: int) -> list:
     inp = ip.point_inputs(seed)
-    points = inp.points + inp.cli_points
-    states = _cold_and_warm([(p.family, p.x, p.tol) for p in points])
-    return [[p.family.key, p.x.hex(), p.tol, cold, warm]
-            for p, cold, warm in zip(points, states["cold"], states["warm"])]
+    return _cold_and_warm([(p.family, p.x, p.tol) for p in inp.points + inp.cli_points])
 
 
 def report_grid(seed: int) -> list:
@@ -177,14 +176,64 @@ def _walk(old, new, path: str, tally: dict) -> None:
         entry["other"] += 1
 
 
+def _states(section: str, records: list) -> list:
+    """The [family key, x, tol, cold, warm] records of a point_eval or report_grid section."""
+    return records if section == "point_eval" else [rec for _, recs in records for rec in recs]
+
+
+def _error(oracle, key: str, x: str, outcome: list) -> tuple[float, bool] | None:
+    """(relative error against the oracle, converged) of a state outcome; None for an exception."""
+    got = outcome[0]
+    if len(got) != 7:
+        return None
+    kind, param = key.split(":")
+    return oracle.rel_err(float.fromhex(got[4]), oracle.value(ip.Family(kind, float(param)), float.fromhex(x))), got[6]
+
+
+def _strata(section: str, old: list, new: list, tally: dict) -> None:
+    """Tally the states of ``section`` per (family, tol) stratum: floats as ``_walk``
+    does, the states seen and moved, and over the moved states the worst error
+    against the mpmath oracle and the count converged, before and after."""
+    import oracle  # perfbench's, which needs mpmath: only a comparison loads it
+
+    olds, news = _states(section, old), _states(section, new)
+    if len(olds) != len(news):
+        _walk(old, new, section, tally)
+        return
+    for a, b in zip(olds, news):
+        path = f"{section}/{a[0]} tol={a[2]!r}"
+        entry = tally.setdefault(path, {"floats": 0, "moved": {}, "other": 0, "states": 0, "states_moved": 0,
+                                        "worst_err_moved": [0.0, 0.0], "converged_moved": [0, 0]})
+        entry["states"] += 1
+        _walk(a, b, path, tally)
+        if a == b:
+            continue
+        entry["states_moved"] += 1
+        for i, rec in enumerate((a, b)):
+            scored = _error(oracle, rec[0], rec[1], rec[3])
+            if scored is not None:
+                entry["worst_err_moved"][i] = max(entry["worst_err_moved"][i], scored[0])
+                entry["converged_moved"][i] += scored[1]
+
+
 def compare(old_path: str, new_path: str) -> dict:
     """Per section, over every seed: floats seen, floats moved by bucket (at most
-    1, 2, 4, ... ulps), other changes."""
+    1, 2, 4, ... ulps), other changes; point_eval and report_grid per (family,
+    tol) stratum, with the states moved (``_strata``)."""
     tally: dict = {}
     with open(old_path) as old, open(new_path) as new:
         old, new = json.load(old), json.load(new)
     for key in old.keys() | new.keys():
-        _walk(old.get(key), new.get(key), "" if key.isdigit() else key, tally)
+        if not key.isdigit():
+            _walk(old.get(key), new.get(key), key, tally)
+            continue
+        seed_old, seed_new = old.get(key, {}), new.get(key, {})
+        for section in seed_old.keys() | seed_new.keys():
+            a, b = seed_old.get(section), seed_new.get(section)
+            if section in ("point_eval", "report_grid") and a is not None and b is not None:
+                _strata(section, a, b, tally)
+            else:
+                _walk(a, b, section, tally)
     return dict(sorted(tally.items()))
 
 
