@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,6 +89,11 @@ class ProductState:
     value: float
     rel_gap: float
     converged: bool
+
+
+#: The base level of an integer x, whose value the normalization f(1) = 1 gives
+#: without a product, as ``_scaled`` takes it: (bound, n, log p_n, log f, rel_gap, converged).
+ANCHOR = (0.0, 0, 0.0, 0.0, 0.0, True)
 
 
 @dataclass(frozen=True)
@@ -207,24 +212,6 @@ def _level(win: list[float]) -> tuple:
         d, signs, allowance = _differences(list(map(math.log, win)), ORDER)
         return d[0], d, signs, allowance, win[0]
     return math.log(win[0]), None, 0, 0.0, win[0]
-
-
-def _level_terms(x0: float, coeffs: tuple[list[float], list[float]], level: tuple, gx: float) -> tuple:
-    """The order-p and sandwich terms at x0 of a level n from its ``_level`` terms and
-    ``gx`` = g(x0+n) > 0, with ``coeffs`` = ``_coefficients(x0, ORDER)``.
-
-    Returns (sum_{j=1..p} C(x0, j) Delta^{j-1} log g(n),
-    |C(x0-1, p)| (|Delta^p log g(n)| + allowance), Delta log g(n), signs,
-    log g(n) - log g(x0+n), x0 log g(n), |g(x0+n)/g(n) - 1|). A level without
-    differences gives (0, inf, nan, 0) for its order-p terms: the sandwich decides it.
-    """
-    log_gn, d, signs, allowance, g_n = level
-    if d is None:
-        tail, bound, d1 = 0.0, math.inf, math.nan
-    else:
-        (tail, bound), d1 = _gauss_terms(coeffs, d, allowance, ORDER), d[1]
-    # as Python floats, a ratio past float range is inf and raises no numpy warning
-    return tail, bound, d1, signs, log_gn - math.log(gx), x0 * log_gn, abs(gx / g_n - 1.0)
 
 
 def _high_orders(g: Representer, prev: int, n: int, num: _Numerator | None = None) -> tuple:
@@ -346,10 +333,11 @@ def _block(g: Representer, x0: float, n: int, have: int, max_n: int):
 
 
 def _base_state(g: Representer, x0: float, m: int, tol: float,
-                max_n: int) -> tuple[ProductState, np.ndarray | None]:
+                max_n: int) -> tuple[tuple, np.ndarray | None]:
     """The product at x0 in (0, 1], n doubling from 4 until the bound meets ``tol``,
-    and g(x0+k) for k up to the first block's end, the values the forward scaling
-    needs (None where that block is None).
+    as the level ``_scaled`` takes, (bound, n, log p_n, log f(x0), rel_gap,
+    converged), and g(x0+k) for k up to the first block's end, the values the
+    forward scaling needs (None where that block is None).
 
     Short of ``tol``, the level with the smallest bound is returned, once
     ``max_n`` is reached or the rounding allowance of the next level alone
@@ -383,10 +371,12 @@ def _base_state(g: Representer, x0: float, m: int, tol: float,
     logs and takes its terms only when the loop reaches it, and every sum and
     value has the bits of a level's own calls. Where the block's call meets a
     fault, and past CHUNK, each level makes its own calls: ``_log_terms`` over
-    [n/2, n) in chunks of CHUNK, then g at the 2p+2 points. Either way, one
-    ``_level_terms`` call gives the level's terms at x0. The orders past ORDER
-    take g(n+2p+1 .. n + 2 TOP_ORDER) from one more call, cached with the
-    block's level terms.
+    [n/2, n) in chunks of CHUNK, then g at the 2p+2 points. Either way the level
+    takes, from its ``_level`` terms and g(x0+n), only what its branch uses: the
+    order-p tail and bound (``_gauss_terms``) where the bound is trusted, else
+    log g(n) - log g(x0+n) and x0 log g(n) for the sandwich; and |g(x0+n)/g(n) - 1|.
+    The orders past ORDER take g(n+2p+1 .. n + 2 TOP_ORDER) from one more call,
+    cached with the block's level terms.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
@@ -408,18 +398,19 @@ def _base_state(g: Representer, x0: float, m: int, tol: float,
         if block is not None:
             start, log_terms, num, gx = block  # indexed by k - start
             log_pn += float(np.add.reduce(log_terms[have - start:n - start]))
-            level, gxn = num.level(n), float(gx[n - start])
+            log_gn, d, signs, allowance, g_n = num.level(n)
+            gxn = float(gx[n - start])
         else:
             log_pn = _log_terms(g, x0, have, n, log_pn)
             # g at n .. n+2p for the order-p terms, then at x0 + n for the sandwich
             *win, gxn = g.values(np.array([*range(n, n + 2 * ORDER + 1), x0 + n], dtype=float)).tolist()
             if not (win[0] > 0.0 and gxn >= POLE_TOL):
                 _log_terms(g, x0, n, n + 1)  # raises the k = n term's PoleError or NonPositiveError
-            level = _level(win)
-        tail, bound, d1, signs, log_ratio, log_gx, rel_gap = _level_terms(x0, coeffs, level, gxn)
+            log_gn, d, signs, allowance, g_n = _level(win)
         rounding = (n + abs(m) + 1) * EPS
-        log_pn1 = log_pn + log_ratio
+        d1 = math.nan if d is None else d[1]  # a window without differences: the sandwich decides
         if signs & prev_signs and (d1 == 0.0 or abs(d1) <= SHRINK * abs(prev_d1)):
+            tail, bound = _gauss_terms(coeffs, d, allowance, ORDER)
             # past a block's last level the loop needs new g(x0+k): try the higher orders first
             if bound + rounding > tol and (n == max_n or n in BLOCK_ENDS or n > CHUNK):
                 highs = num.high_orders(g, have, n) if block is not None else _high_orders(g, have, n)
@@ -431,11 +422,14 @@ def _base_state(g: Representer, x0: float, m: int, tol: float,
                             tail, bound = tail_p, bound_p
             log_value = log_pn + tail
         else:
-            log_value = 0.5 * (log_pn + log_pn1) + log_gx
+            log_pn1 = log_pn + (log_gn - math.log(gxn))
+            log_value = 0.5 * (log_pn + log_pn1) + x0 * log_gn
             bound = 0.5 * abs(log_pn - log_pn1)
             if prev_log_value is not None:  # the sandwich alone brackets only log-convex f
                 bound = max(bound, abs(log_value - prev_log_value))
         bound += rounding
+        # as Python floats, a ratio past float range is inf and raises no numpy warning
+        rel_gap = abs(gxn / g_n - 1.0)
         have = n
         if bound < best[0]:
             best = (bound, n, log_pn, log_value, rel_gap)
@@ -451,42 +445,51 @@ def _base_state(g: Representer, x0: float, m: int, tol: float,
         if n >= max_n or best[0] <= (2 * n + abs(m) + 1) * EPS:
             break
         n = min(2 * n, max_n)
-    bound, n, log_pn, log_value, rel_gap = best
-    value = math.exp(log_value)
-    return ProductState(n=n, p_n=math.exp(log_pn), lower=value * math.exp(-bound),
-                        upper=value * math.exp(bound), value=value, rel_gap=rel_gap,
-                        converged=bound <= tol), forward
+    return (*best, best[0] <= tol), forward
 
 
-def _scaled(g: Representer, x: float, x0: float, m: int, state: ProductState,
+def _scaled(g: Representer, x: float, x0: float, m: int, base: tuple,
             forward: np.ndarray | None = None) -> ProductState:
-    """The base state at x0 carried to x = x0 + m by the functional equation: for
-    m >= 0 it multiplies forward, by g(x0+k) from ``forward`` where it holds
-    every k < m; for m < 0 the solved form f(x) = f(x + |m|) / prod g(x + k)
-    divides, raising PoleError when a factor vanishes, and NonFiniteError when
-    the product of the factors underflows to 0. The product's one float-range
-    rule: NonFiniteError where the value or a bound is not finite, or the value
-    from a nonzero base value underflows to 0 or is subnormal (fewer bits than
-    the bounds claim). Bounds swap for a negative scale, as Gamma's on (-1, 0)."""
+    """The state at x = x0 + m of the base level ``base`` = (bound, n, log p_n,
+    log f(x0), rel_gap, converged) at x0, by the functional equation: f(x0) =
+    exp(log f(x0)) with the bracket f(x0) exp(-+bound), carried forward for m >= 0
+    by prod_{k<m} g(x0+k), with the factors from ``forward`` where it holds every
+    k < m. At an integer x (x0 = 1) without ``forward`` the factors g(1 .. m) come
+    from the first block's cached g(k) where that entry holds them (m <= 264):
+    the entry exists only once its call passed the fault checks, so the call it
+    saves raises and warns nothing either. For m < 0 the solved form
+    f(x) = f(x + |m|) / prod g(x + k) divides, raising PoleError when a factor
+    vanishes, and NonFiniteError when the product of the factors underflows to 0.
+    The product's one float-range rule: NonFiniteError where the value or a bound
+    is not finite, or the value from a nonzero base value underflows to 0 or is
+    subnormal (fewer bits than the bounds claim). Bounds swap for a negative scale,
+    as Gamma's on (-1, 0)."""
+    bound, n, log_pn, log_value, rel_gap, converged = base
+    base_value = math.exp(log_value)
+    lower, upper = base_value * math.exp(-bound), base_value * math.exp(bound)
     if m >= 0:
+        if forward is None and x0 == 1.0:
+            num = g.product_terms.get(BLOCK_ENDS[0])  # g(k) from k = 0, where g(1) stands in for g(0)
+            forward = None if num is None else num.g[1:]
         if forward is not None and m <= forward.size:
             factor = math.prod(forward[:m].tolist(), start=1.0)
         else:
             factor = _shift_product(g, x0, m)
-        value, a, b = state.value * factor, state.lower * factor, state.upper * factor
+        value, a, b = base_value * factor, lower * factor, upper * factor
     else:
         den = _shift_product(g, x, -m)
         if den == 0.0:
             raise NonFiniteError(f"prod g(x+k), k < {-m}, underflows to 0 at x={x!r}", x=x, value=math.inf)
-        value, a, b = state.value / den, state.lower / den, state.upper / den
-    if value == 0.0 and state.value != 0.0:
-        raise NonFiniteError(f"f({x!r}) underflows to 0 from f({x0!r}) = {state.value!r}", x=x, value=value)
+        value, a, b = base_value / den, lower / den, upper / den
+    if value == 0.0 and base_value != 0.0:
+        raise NonFiniteError(f"f({x!r}) underflows to 0 from f({x0!r}) = {base_value!r}", x=x, value=value)
     if 0.0 < abs(value) < sys.float_info.min:
         raise NonFiniteError(f"f({x!r}) = {value!r} is subnormal, short of double precision",
                              x=x, value=value)
     if not (math.isfinite(value) and math.isfinite(a) and math.isfinite(b)):
         raise NonFiniteError(f"f({x!r}) = {value!r} or its bracket leaves float range", x=x, value=value)
-    return replace(state, value=value, lower=min(a, b), upper=max(a, b))
+    return ProductState(n=n, p_n=math.exp(log_pn), lower=min(a, b), upper=max(a, b), value=value,
+                        rel_gap=rel_gap, converged=converged)
 
 
 def partial_product(g: Representer, x: float, n: int) -> float:
@@ -543,8 +546,7 @@ def extended_state(g: Representer, x: float, tol: float = DEFAULT_TOL,
     if x0 != 1.0 and m >= 0:
         return evaluate(g, x, tol, max_n)
     if x0 == 1.0:
-        return _scaled(g, x, x0, m, ProductState(n=0, p_n=1.0, lower=1.0, upper=1.0, value=1.0,
-                                                 rel_gap=0.0, converged=True))
+        return _scaled(g, x, x0, m, ANCHOR)
     return _scaled(g, x, x0, m, *_base_state(g, x0, m, tol, max_n))
 
 
@@ -568,15 +570,23 @@ def interpolation_targets(g: Representer, n_max: int) -> list[InterpolationTarge
 
 def _series_terms(g: Representer, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """h = -(log g)'' = -log_d2(g, g', g'') and (log g)' = g'/g at ``us``; raises
-    ZeroValueError where g vanishes. h never forms g g, so it needs no fallback
-    where g g overflows or is subnormal."""
+    ZeroValueError where g vanishes, and NonFiniteError at the first x+k where h or
+    (log g)' is not finite. A floating-point signal in g', g'' or the terms warns
+    nothing: what it leaves outside float range raises. h never forms g g, so it
+    needs no fallback where g g overflows or is subnormal."""
     gv = g.values(us)
     least = float(np.fmin.reduce(np.abs(gv), initial=math.inf))  # skips nan, as comparisons do
     if least < POLE_TOL:
         i = int(np.flatnonzero(np.abs(gv) < POLE_TOL)[0])
         raise ZeroValueError(f"g vanishes at x+k={float(us[i])!r}")
-    d1 = g.d1_values(us)
-    return -log_d2(gv, d1, g.d2_values(us)), d1 / gv
+    with np.errstate(all="ignore"):
+        d1 = g.d1_values(us)
+        h, dlog = -log_d2(gv, d1, g.d2_values(us)), d1 / gv
+    if not (np.isfinite(h).all() and np.isfinite(dlog).all()):
+        i = int(np.argmin(np.isfinite(h) & np.isfinite(dlog)))
+        raise NonFiniteError(f"h = -(log g)'' or (log g)' is not finite at x+k={float(us[i])!r}",
+                             x=float(us[i]), value=float(h[i]))
+    return h, dlog
 
 
 def _gregory_tail(h: np.ndarray, dlog: np.ndarray, h_ref: float,
@@ -632,7 +642,10 @@ def logconvexity_series(g: Representer, x: float, tol: float = 1e-8) -> float:
     exception or a floating-point signal), the chunk is evaluated alone and
     the points after it only once the chunk has passed its checks, so every
     exception and warning is the one the chunk and its points raise in that
-    order.
+    order. A term or (log g)' that is not finite raises NonFiniteError at its
+    point before anything is summed (``_series_terms``): the fibonacci
+    representer's quotient rule overflows past x = 500 and gives a nan g'' at
+    x = 519 and beyond, where the sum once read nan.
     """
     if not (x > 0.0):
         raise DomainError(f"series needs x > 0, got {x!r}")

@@ -28,7 +28,9 @@ class Representer:
     construction spot-checks it on a 64-point grid. ``product_terms`` holds
     the product's terms that do not depend on x, filled by ``bohrmollerup``
     as its loop first needs them; ``fn`` being deterministic makes them valid
-    for every later x. It takes no part in ``==``, ``repr`` or ``replace``.
+    for every later x. The first block's g(k), k <= 264, serve the product's
+    numerators and also the integer anchors' f(n) = prod_{k<n} g(k) for n <= 265.
+    It takes no part in ``==``, ``repr`` or ``replace``.
     """
 
     fn: RealFunction

@@ -34,6 +34,7 @@ from logconvex import (
 from logconvex import bohrmollerup as bm
 from logconvex.bohrmollerup import reduce_to_base
 from logconvex.funcore import log_d2
+from test_product_blocks import _gauss_tail, outcome, reference_outcome
 
 SQRT_PI = math.sqrt(math.pi)
 IDENTITY = builtin("identity")
@@ -49,9 +50,9 @@ def hurwitz_zeta2(x, terms=200_000):
 
 
 def order_p_terms(g, x0, n):
-    """(tail, bound, Delta log g(n), the signs Delta^p log g keeps) of the product's level n at x0."""
-    win = g.values(n + np.arange(2 * bm.ORDER + 1, dtype=float)).tolist()
-    return bm._level_terms(x0, bm._coefficients(x0, bm.ORDER), bm._level(win), g(x0 + n))[:4]
+    """(tail, bound, Delta log g(n), the signs Delta^p log g keeps) of the product's level n at x0,
+    by the scalar rule of the reference loop (``tests/test_product_blocks.py``)."""
+    return _gauss_tail(x0, g.values(n + np.arange(2 * bm.ORDER + 1, dtype=float)).tolist(), bm.ORDER)
 
 
 class TestReduceToBase:
@@ -211,6 +212,7 @@ class TestEvaluate:
         assert bound <= 1e-13 and d1 == pytest.approx(1.0) and one_sign
         with pytest.raises(DivergenceError):
             evaluate(g, x, tol=tol)
+        assert outcome(g, x, tol) == reference_outcome(g, x, tol)
 
     @pytest.mark.parametrize("v", [0.5, 2.0, 7.0])
     def test_constant_stops_at_the_first_level(self, v):
@@ -240,6 +242,7 @@ class TestEvaluate:
         assert state.lower <= want <= state.upper
         x0, _ = reduce_to_base(x)
         assert not order_p_terms(g, x0, state.n)[3]
+        assert outcome(g, x, 1e-12) == reference_outcome(g, x, 1e-12)
 
     def test_preconditions(self):
         with pytest.raises(DomainError):

@@ -29,8 +29,8 @@ from hypothesis import strategies as st
 
 from logconvex import NonFiniteError, RealFunction, Representer, builtin, extended_state, from_spec
 from logconvex import bohrmollerup as bm
-from logconvex.bohrmollerup import BLOCK_ENDS, CHUNK, ORDER, POLE_TOL, SHRINK, TOP_ORDER, ProductState, _log_terms
-from logconvex.errors import DivergenceError
+from logconvex.bohrmollerup import BLOCK_ENDS, CHUNK, ORDER, POLE_TOL, SHRINK, TOP_ORDER, _log_terms
+from logconvex.errors import DivergenceError, PoleError
 from logconvex.funcore import EPS
 from test_rational_family import rational
 
@@ -97,13 +97,14 @@ def _highest_trusted(g: Representer, x0: float, prev: int, n: int, tail: float,
 
 
 def reference_base_state(g: Representer, x0: float, m: int, tol: float,
-                         max_n: int) -> tuple[ProductState, None]:
+                         max_n: int) -> tuple[tuple, None]:
     """The product loop with two calls of g per level: each level sums the log terms of
     [n/2, n) with ``_log_terms``, then evaluates g at n .. n+2p and x0+n. Where the
     loop would go on to a new block of g(x0+k), at n = max_n, a block end or any n
     past CHUNK, a trusted order-p bound above tol tries the orders up to TOP_ORDER
-    (``_highest_trusted``). It hands the forward scaling no values of g, so the
-    scaling makes its own call."""
+    (``_highest_trusted``). It returns the tightest level as ``_scaled`` takes it,
+    (bound, n, log p_n, log f(x0), rel_gap, converged), and hands the forward
+    scaling no values of g, so the scaling makes its own call."""
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
     if max_n < 4:
@@ -150,10 +151,12 @@ def reference_base_state(g: Representer, x0: float, m: int, tol: float,
             break
         n = min(2 * n, max_n)
     bound, n, log_pn, log_value, rel_gap = best
-    value = math.exp(log_value)
-    return ProductState(n=n, p_n=math.exp(log_pn), lower=value * math.exp(-bound),
-                        upper=value * math.exp(bound), value=value, rel_gap=rel_gap,
-                        converged=bound <= tol), None
+    return (bound, n, log_pn, log_value, rel_gap, bound <= tol), None
+
+
+def bits(values) -> list:
+    """``values`` with each float as its hex."""
+    return [v.hex() if isinstance(v, float) else v for v in values]
 
 
 def outcome(g: Representer, x: float, tol: float = bm.DEFAULT_TOL, max_n: int = bm.DEFAULT_MAX_N):
@@ -162,7 +165,7 @@ def outcome(g: Representer, x: float, tol: float = bm.DEFAULT_TOL, max_n: int = 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            got = tuple(v.hex() if isinstance(v, float) else v for v in astuple(extended_state(g, x, tol, max_n)))
+            got = tuple(bits(astuple(extended_state(g, x, tol, max_n))))
         except Exception as exc:  # noqa: BLE001 - every exception is compared
             got = type(exc), str(exc), repr(sorted(vars(exc).items()))
     return got, [(w.category, str(w.message)) for w in caught]
@@ -176,6 +179,14 @@ def reference_outcome(g: Representer, x: float, tol: float = bm.DEFAULT_TOL, max
 @lru_cache(maxsize=None)
 def representer(spec: str) -> Representer:
     return from_spec(spec)
+
+
+def count_calls(monkeypatch) -> list:
+    """The sizes of the calls of g from here on."""
+    calls = []
+    values = Representer.values
+    monkeypatch.setattr(Representer, "values", lambda g, xs: calls.append(len(xs)) or values(g, xs))
+    return calls
 
 
 FAMILIES = st.one_of(
@@ -267,9 +278,7 @@ class TestBlocks:
         call, where two calls per level made twelve. The forward chain to 50.37 takes
         its 50 factors from that call; the backward chain to -3.5 makes its own. A
         second call on the same g takes g(k) from the first and calls g at x0+k alone."""
-        calls = []
-        values = Representer.values
-        monkeypatch.setattr(Representer, "values", lambda g, xs: calls.append(len(xs)) or values(g, xs))
+        calls = count_calls(monkeypatch)
         g = builtin("identity")
         state = extended_state(g, x)
         assert state.n == 128 and state.converged
@@ -284,9 +293,7 @@ class TestBlocks:
         block's last level, n = 256, tries the orders up to TOP_ORDER instead and stops
         there, so g(x0+k) is evaluated once, for k up to 256. The values the higher
         orders add, g(265 .. 272), take one more call on a fresh g, and none on a warm one."""
-        calls = []
-        values = Representer.values
-        monkeypatch.setattr(Representer, "values", lambda g, xs: calls.append(len(xs)) or values(g, xs))
+        calls = count_calls(monkeypatch)
         g = from_spec(spec)
         for i, x in enumerate((0.05, 0.37, 0.5, 0.93)):
             state = extended_state(g, x, 1e-12)
@@ -299,19 +306,35 @@ class TestBlocks:
 WINDOW = st.floats(1e-300, 1e300) | st.floats(-2.0, 0.0)
 
 
+def table(values: dict[float, float]) -> Representer:
+    """g(t) = values[t] at the keys of ``values``, 1 + t/8 elsewhere."""
+    def fn(t):
+        return np.array([values.get(float(u), 1.0 + float(u) / 8) for u in np.ravel(t)]).reshape(np.shape(t))
+    return Representer(fn=RealFunction(fn=fn, name="table"))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(0.0, 1.0, exclude_min=True),
        st.lists(st.tuples(st.floats(1e-300, 1e300), st.lists(WINDOW, min_size=2 * ORDER, max_size=2 * ORDER),
                           st.floats(1e-300, 1e300)), min_size=1, max_size=8))
 def test_level_terms_are_the_scalar_rules_level_by_level(x0, rows):
-    """Each level's ``_level`` and ``_level_terms`` have the bits of ``_gauss_tail`` and
-    ``_sandwich_logs`` on that level, also for a window that holds a non-positive value."""
+    """Each level's terms have the bits of ``_gauss_tail`` and ``_sandwich_logs`` on that
+    level, also for a window that holds a non-positive value. The order-p terms are
+    ``_level`` and ``_gauss_terms`` on the window (a window without differences leaves
+    Delta log g(n) nan and no sign: the sandwich decides); the sandwich terms are taken
+    inline by the loop, so the loop's level 4 on g = the window at 4 .. 4+2p and g(x0+4),
+    1 + t/8 elsewhere, is held to the reference loop's."""
+    coeffs = bm._coefficients(x0, ORDER)
     for g_n, rest, g_xn in rows:
-        got = bm._level_terms(x0, bm._coefficients(x0, bm.ORDER), bm._level([g_n, *rest]), g_xn)
-        log_ratio, log_gx, rel_gap = _sandwich_logs(None, x0, 4, 0.0, g_n, g_xn)
-        want = (*_gauss_tail(x0, [g_n, *rest], ORDER), log_ratio, log_gx, rel_gap)
-        assert [v.hex() if isinstance(v, float) else v for v in got] == \
-            [v.hex() if isinstance(v, float) else v for v in want]
+        log_gn, d, signs, allowance, _ = bm._level([g_n, *rest])
+        got = (0.0, math.inf, math.nan, signs) if d is None else (*bm._gauss_terms(coeffs, d, allowance, ORDER),
+                                                                  d[1], signs)
+        assert log_gn.hex() == math.log(g_n).hex()
+        assert bits(got) == bits(_gauss_tail(x0, [g_n, *rest], ORDER))
+        g = table({**{4.0 + i: v for i, v in enumerate([g_n, *rest])}, x0 + 4.0: g_xn})
+        level = bm._base_state(g, x0, 0, 1e-8, 4)[0]
+        assert level[1] == 4
+        assert bits(level) == bits(reference_base_state(g, x0, 0, 1e-8, 4)[0])
 
 
 CALLS = st.tuples(st.floats(-5.0, 40.0), st.floats(-12.0, -4.0).map(lambda e: 10.0 ** e), MAX_NS)
@@ -405,3 +428,63 @@ def test_a_higher_order_must_keep_the_sign_of_the_level_before(spec, flips):
     signs = {p: [_gauss_tail(0.5, w[:2 * p + 1], p)[3] for w in wins] for p in range(ORDER + 1, TOP_ORDER + 1)}
     assert [p for p, (a, b) in signs.items() if a and b and not a & b] == flips
     assert [p for p, *_ in bm._high_orders(g, 128, 256)] == [p for p, (a, b) in signs.items() if a & b]
+
+
+class TestIntegerAnchors:
+    """An integer x runs no product: f(x) = prod g(1 .. x-1), from the first block's cached
+    g(k), k <= 256 + 2p, where a representer holds them, else from a call of g."""
+
+    def test_a_warm_anchor_makes_no_call_of_g(self, monkeypatch):
+        calls = count_calls(monkeypatch)
+        g = builtin("identity")
+        extended_state(g, 0.5)
+        calls.clear()
+        for x in range(1, 266):  # f(x) = (x-1)! leaves float range at x = 172: a NonFiniteError
+            outcome(g, float(x))
+        assert calls == [] and extended_state(g, 20.0).value == math.factorial(19)
+        for x in (266.0, 267.0):
+            outcome(g, x)
+        assert calls == [265, 266]
+
+    @pytest.mark.parametrize("spec", ["identity", "x+0.37", "x+2.5", "x*(x+1)", "power:c=0.7", "power:c=1.5",
+                                      "power:c=0.5"])
+    def test_a_warm_anchor_has_the_bits_of_a_cold_one(self, spec):
+        """x = 1 .. 267 crosses the cache's end at x = 265 / 266; the others leave float
+        range before it, power:c=0.5 (f(x) = sqrt((x-1)!)) does not. An anchor fills no
+        cache, so one representer that never ran a product serves every cold call."""
+        warm, cold = from_spec(spec), from_spec(spec)
+        extended_state(warm, 0.5)
+        assert warm.product_terms[BLOCK_ENDS[0]].g.size == BLOCK_ENDS[0] + 2 * ORDER + 1
+        for x in range(1, 268):
+            got = outcome(warm, float(x))
+            assert got == outcome(cold, float(x)), (spec, x)
+        assert cold.product_terms == {}
+        assert spec != "power:c=0.5" or got[0][-1] is True  # a state at x = 267
+
+    def test_an_anchor_past_a_faulted_or_short_entry_makes_the_call(self, monkeypatch):
+        """g = x + exp(5x - 600) overflows at 262. Its first block faults at tol 1e-6 and
+        leaves no entry; with max_n = 16 it leaves g(k) for k <= 24. Where the entry does
+        not hold g(1 .. x-1), the anchor makes the call a fresh representer makes, with
+        its exception and warning."""
+        spec = "x + exp(5*x-600)"
+        faulted, short = from_spec(spec), from_spec(spec)
+        assert extended_state(faulted, 0.5, 1e-6).n == 64 and faulted.product_terms == {}
+        extended_state(short, 0.5, 1e-8, 16)
+        assert short.product_terms[BLOCK_ENDS[0]].g.size == 16 + 2 * ORDER + 1
+        calls = count_calls(monkeypatch)
+        for g, x, call in [(faulted, 10.0, [9]), (faulted, 263.0, [262]), (short, 25.0, []),
+                           (short, 26.0, [25]), (short, 263.0, [262])]:
+            want = outcome(from_spec(spec), x)
+            calls.clear()
+            assert outcome(g, x) == want and calls == call, (x, call)
+        assert want == ((NonFiniteError, "x + exp(5*x-600): non-finite value at x=262.0",
+                         repr([("value", math.inf), ("x", 262.0)])),
+                        [(RuntimeWarning, "overflow encountered in exp")])
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, -2.0, -7.0])
+    def test_a_negative_integer_is_still_a_pole(self, x):
+        warm = builtin("identity")
+        extended_state(warm, 0.5)
+        for g in (warm, builtin("identity")):
+            with pytest.raises(PoleError):
+                extended_state(g, x)

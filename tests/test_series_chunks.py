@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from logconvex import Representer, builtin, from_spec, logconvexity_series
 from logconvex.bohrmollerup import EPS, ORDER, SERIES_BUDGET, _gregory_tail, _series_terms
-from logconvex.errors import DomainError, SeriesDivergence, ToleranceNotMet
+from logconvex.errors import DomainError, LogconvexError, SeriesDivergence, ToleranceNotMet
 from test_rational_family import rational
 
 
@@ -130,3 +130,24 @@ class TestChunks:
         assert calls == {"values": 3, "d1_values": 3, "d2_values": 3}
         monkeypatch.undo()
         assert got == reference_series(builtin("identity"), 2.7, 1e-6)
+
+
+#: logconvexity_series(fibonacci, x, 1e-8) at the x of 380, 390, ..., 900 that give a value
+FIB_FAR_RIGHT = {380: "0x1.4c11361a11819p-53", 390: "-0x1.7b0d5e8debccbp-47", 400: "-0x1.9fdb821abe67bp-48",
+                 410: "-0x1.8d523cb39c4bcp-53", 420: "0x1.b43f03ec7ed68p-53", 430: "-0x1.e8ac127a64133p-49",
+                 440: "-0x1.179b3e3e3e119p-49"}
+
+
+def test_fibonacci_far_right_raises_where_its_terms_leave_float_range():
+    """Past x = 500 the fibonacci representer's quotient rule overflows: its g' and g''
+    turn 0, nan or inf, and the sum read nan at 16 of these x, with overflow and invalid
+    warnings. A term or (log g)' that is not finite now raises NonFiniteError at its
+    point. The x that give a value keep its bits, and no call returns nan or warns."""
+    g = builtin("fibonacci")
+    for x in range(380, 901, 10):
+        got, caught = outcome(logconvexity_series, g, float(x), 1e-8)
+        assert caught == [], (x, caught)
+        if x in FIB_FAR_RIGHT:
+            assert got == FIB_FAR_RIGHT[x], x
+        else:
+            assert isinstance(got, tuple) and issubclass(got[0], LogconvexError), (x, got)

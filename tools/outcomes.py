@@ -31,6 +31,10 @@ error against perfbench's mpmath oracle and how many converged, before and after
 
     PYTHONPATH=src python tools/outcomes.py --compare old.json new.json
 
+``--compare`` exits 1 when any float moved or any other value changed, and 0
+when the two files hold the same outcomes, so a bit-identity claim is its exit
+status.
+
 It reads ``perfbench/inputs.py`` and writes nothing under ``perfbench/``.
 """
 
@@ -48,6 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
+sys.dont_write_bytecode = True  # import perfbench's modules without leaving a __pycache__ there
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import inputs as ip  # noqa: E402
@@ -243,9 +248,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="summarize the diff of two outputs")
     ns = ap.parse_args(argv)
     if ns.compare:
-        json.dump(compare(*ns.compare), sys.stdout, indent=1)
+        tally = compare(*ns.compare)
+        json.dump(tally, sys.stdout, indent=1)
         sys.stdout.write("\n")
-        return 0
+        return int(any(entry["moved"] or entry["other"] for entry in tally.values()))
     print(f"logconvex from {Path(lc.__file__).parent}", file=sys.stderr)
     out = {str(seed): {"point_eval": point_eval(seed), "report_grid": report_grid(seed),
                        "convexity_scan": convexity_scan(seed)} for seed in ns.seeds}
