@@ -105,7 +105,9 @@ class InterpolationTarget:
 
 
 def reduce_to_base(x: float) -> tuple[float, int]:
-    """Split x = x0 + m with x0 in (0, 1] and integer m."""
+    """Split x = x0 + m with x0 in (0, 1] and integer m; DomainError for x not finite."""
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x!r}")
     m = math.ceil(x) - 1
     x0 = x - m
     if x0 <= 0.0:  # guard against rounding at integer boundaries
@@ -220,26 +222,23 @@ def _high_orders(g: Representer, prev: int, n: int, num: _Numerator | None = Non
     allowance) for each p at which Delta^p log g keeps one sign over n .. n+p that it
     kept over prev .. prev+p too, with the signs and allowance of ``_differences``.
 
-    g at prev .. prev+2 TOP_ORDER and n .. n+2 TOP_ORDER comes from ``num`` as far
-    as it reaches, the rest from one call of g. Where that call meets a fault (an
-    exception or a floating-point signal), or a value is <= 0, no order qualifies:
-    the result is empty, and nothing is raised or warned.
+    The windows g(prev .. prev+2 TOP_ORDER) and g(n .. n+2 TOP_ORDER) are slices of
+    ``num``, extended to n + 2 TOP_ORDER by ``_Numerator.call`` up to n = CHUNK. Past
+    CHUNK, without ``num``, or where the extension meets a fault, they come from one
+    call of g of their own. Where that call meets a fault (an exception or a
+    floating-point signal), or a value is <= 0, no order qualifies: the result is
+    empty, and nothing is raised or warned.
     """
-    wins, rest = [], []
-    for k in (prev, n) if prev else (n,):
-        win = num.g[k - num.start:k - num.start + 2 * TOP_ORDER + 1].tolist() if num is not None else []
-        rest.extend(range(k + len(win), k + 2 * TOP_ORDER + 1))
-        wins.append(win)
-    if rest:
+    span, starts = 2 * TOP_ORDER + 1, (prev, n) if prev else (n,)
+    if num is not None and (num.g.size >= n + span or n <= CHUNK and num.call(g, n + span) is not None):
+        wins = [num.g[k:k + span].tolist() for k in starts]
+    else:
         try:
             with np.errstate(all="raise"):
-                vals = g.values(np.array(rest, dtype=float)).tolist()
+                vals = g.values(np.array([k + i for k in starts for i in range(span)], dtype=float))
         except Exception:
             return ()
-        for win in wins:
-            i = 2 * TOP_ORDER + 1 - len(win)
-            win.extend(vals[:i])
-            vals = vals[i:]
+        wins = [vals[i:i + span].tolist() for i in range(0, vals.size, span)]
     if not min(map(min, wins)) > 0.0:
         return ()
     logs = [list(map(math.log, win)) for win in wins]
@@ -255,26 +254,54 @@ def _high_orders(g: Representer, prev: int, n: int, num: _Numerator | None = Non
 
 
 class _Numerator:
-    """The product's x-independent terms for one block of levels: g(k) and log g(k)
-    for k = start .. start + g.size - 1, where log g(0) := 0 (g.size covers the
-    block's windows), and the ``_level`` and ``_high_orders`` terms of the block's
-    doubling levels, each formed when a loop first asks for it."""
+    """The product's x-independent terms, one home per representer: g(k) and log g(k)
+    for k < K = g.size, where log g(0) := 0, and the ``_level`` and ``_high_orders``
+    terms of the doubling levels, each formed when a loop first asks for it.
 
-    __slots__ = ("start", "g", "logs", "levels", "highs")
+    K grows as the levels need it (``call``), to at most CHUNK + 2 TOP_ORDER + 1: a
+    block's levels take g(k) up to its end + 2 ORDER, the orders past ORDER up to
+    n + 2 TOP_ORDER for n <= CHUNK. The same g(k) give the integer anchors'
+    f(n) = prod_{k<n} g(k) for n <= K.
+    """
 
-    def __init__(self, start: int, g: np.ndarray):
-        self.start, self.g = start, g
-        self.logs = np.log(g)
-        if start == 0:
-            self.logs[0] = 0.0
+    __slots__ = ("g", "logs", "levels", "highs")
+
+    def __init__(self):
+        self.g = self.logs = np.empty(0)
         self.levels: dict[int, tuple] = {}
         self.highs: dict[int, tuple] = {}
+
+    def call(self, g: Representer, size: int, args: np.ndarray | tuple = ()) -> np.ndarray | None:
+        """g at ``args`` from one call of g that also evaluates the g(k), k < ``size``, that
+        the numerator lacks; None where the call meets a fault: an exception, a
+        floating-point signal, or a value below POLE_TOL. The new g(k) are kept only
+        from a call without a fault, so a value the numerator holds raises and warns
+        nothing on any later call."""
+        have = self.g.size
+        if size > have:
+            ks = np.arange(have, size, dtype=float)
+            if have == 0:
+                ks[0] = 1.0  # the g(0) := 1 factor: a stand-in argument inside g's domain
+            args = np.concatenate((ks, args))
+        try:
+            with np.errstate(all="raise"):
+                vals = g.values(args)
+        except Exception:
+            return None
+        if not vals.min() >= POLE_TOL:
+            return None
+        if size > have:
+            new, vals = vals[:size - have], vals[size - have:]
+            logs = np.log(new)
+            if have == 0:
+                logs[0] = 0.0
+            self.g, self.logs = np.concatenate((self.g, new)), np.concatenate((self.logs, logs))
+        return vals
 
     def level(self, n: int) -> tuple:
         got = self.levels.get(n)
         if got is None:
-            i = n - self.start
-            got = _level(self.g[i:i + 2 * ORDER + 1].tolist())
+            got = _level(self.g[n:n + 2 * ORDER + 1].tolist())
             if n & (n - 1) == 0:  # the doublings from 4, which every max_n shares
                 self.levels[n] = got
         return got
@@ -288,17 +315,13 @@ class _Numerator:
         return got
 
 
-def _block(g: Representer, x0: float, n: int, have: int, max_n: int):
+def _block(g: Representer, num: _Numerator, x0: float, n: int, have: int, max_n: int):
     """(end, block) for the levels from n up to ``end``, the last level of the
     doubling n, min(2n, max_n), ... not past the first of BLOCK_ENDS >= n.
 
-    block = (have, log g(k) - log g(x0+k) for k = have .. end, the block's
-    ``_Numerator``, g(x0+k) for k = have .. end). The numerator is g's
-    ``product_terms`` entry for the block's BLOCK_ENDS value. A call that finds
-    none, or one too short for its levels, makes the entry: one call of g at
-    every argument of the block's levels, g(k) up to end + 2p and g(x0+k)
-    together, whose g(k) are stored once the whole call has passed the fault
-    checks. Other calls evaluate g at x0+k alone. The block is None, and the
+    block = (have, log g(k) - log g(x0+k) for k = have .. end, g(x0+k) for
+    k = have .. end), from one call of g (``_Numerator.call``): at x0+k, and at the
+    g(k), k <= end + 2 ORDER, that ``num`` lacks. The block is None, and the
     levels make their own calls, past the last block end and where the call
     meets any fault: an exception, a floating-point signal, or a value below
     POLE_TOL. The call evaluates g past the level where the loop may stop, so
@@ -310,26 +333,10 @@ def _block(g: Representer, x0: float, n: int, have: int, max_n: int):
     end = n
     while end < max_n and min(2 * end, max_n) <= bound:
         end = min(2 * end, max_n)
-    size = end + 2 * ORDER + 1 - have  # g(k) for k = have .. end + 2p
-    args = x0 + np.arange(have, end + 1, dtype=float)
-    num = g.product_terms.get(bound)  # starts at have: 0, or the block end before
-    fill = num is None or num.g.size < size
-    if fill:
-        ks = np.arange(have, have + size, dtype=float)
-        if have == 0:
-            ks[0] = 1.0  # the g(0) := 1 factor: a stand-in argument inside g's domain
-        args = np.concatenate((ks, args))
-    try:
-        with np.errstate(all="raise"):
-            vals = g.values(args)
-    except Exception:
+    gx = num.call(g, end + 2 * ORDER + 1, x0 + np.arange(have, end + 1, dtype=float))
+    if gx is None:
         return end, None
-    if not vals.min() >= POLE_TOL:
-        return end, None
-    if fill:
-        num = g.product_terms[bound] = _Numerator(have, vals[:size].copy())
-        vals = vals[size:]
-    return end, (have, num.logs[:end + 1 - have] - np.log(vals), num, vals)
+    return end, (have, num.logs[have:end + 1] - np.log(gx), gx)
 
 
 def _base_state(g: Representer, x0: float, m: int, tol: float,
@@ -366,8 +373,8 @@ def _base_state(g: Representer, x0: float, m: int, tol: float,
 
     Each level needs the log terms for k < n and g at n .. n+2p and x0+n. Up to
     CHUNK, they come a block of levels at a time (``_block``): g(k) and each
-    level's ``_level`` terms from g's cache, filled by the first call that needs
-    them, and g(x0+k) from one call of g. A level sums its slice of the block's
+    level's ``_level`` terms from g's one ``_Numerator``, extended by the first
+    call that needs them, and g(x0+k) from one call of g. A level sums its slice of the block's
     logs and takes its terms only when the loop reaches it, and every sum and
     value has the bits of a level's own calls. Where the block's call meets a
     fault, and past CHUNK, each level makes its own calls: ``_log_terms`` over
@@ -375,14 +382,17 @@ def _base_state(g: Representer, x0: float, m: int, tol: float,
     takes, from its ``_level`` terms and g(x0+n), only what its branch uses: the
     order-p tail and bound (``_gauss_terms``) where the bound is trusted, else
     log g(n) - log g(x0+n) and x0 log g(n) for the sandwich; and |g(x0+n)/g(n) - 1|.
-    The orders past ORDER take g(n+2p+1 .. n + 2 TOP_ORDER) from one more call,
-    cached with the block's level terms.
+    The orders past ORDER take their windows from the numerator too, which one
+    more call extends to n + 2 TOP_ORDER where it is short (``_high_orders``).
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
     if max_n < 4:
         raise ValueError("max_n must be >= 4")
-    coeffs = _coefficients(x0, ORDER)
+    coeffs = _coefficients(x0, TOP_ORDER)  # order p takes the first p of each
+    num = g.product_terms.get("numerator")
+    if num is None:
+        num = g.product_terms["numerator"] = _Numerator()
     n, have = 4, 0  # log_pn sums the log terms for k < have
     log_pn = 0.0
     prev_gap, prev_log_value = math.inf, None
@@ -390,13 +400,13 @@ def _base_state(g: Representer, x0: float, m: int, tol: float,
     prev_signs = 3  # ... and either sign of Delta^p log g as kept
     stalled = 0
     best = (math.inf,)  # (bound, n, log_pn, log_value, rel_gap) of the tightest level
-    block_end, block = _block(g, x0, n, have, max_n)
-    forward = block[3] if block is not None else None
+    block_end, block = _block(g, num, x0, n, have, max_n)
+    forward = block[2] if block is not None else None
     while True:
         if n > block_end:
-            block_end, block = _block(g, x0, n, have, max_n)
+            block_end, block = _block(g, num, x0, n, have, max_n)
         if block is not None:
-            start, log_terms, num, gx = block  # indexed by k - start
+            start, log_terms, gx = block  # indexed by k - start
             log_pn += float(np.add.reduce(log_terms[have - start:n - start]))
             log_gn, d, signs, allowance, g_n = num.level(n)
             gxn = float(gx[n - start])
@@ -413,13 +423,10 @@ def _base_state(g: Representer, x0: float, m: int, tol: float,
             tail, bound = _gauss_terms(coeffs, d, allowance, ORDER)
             # past a block's last level the loop needs new g(x0+k): try the higher orders first
             if bound + rounding > tol and (n == max_n or n in BLOCK_ENDS or n > CHUNK):
-                highs = num.high_orders(g, have, n) if block is not None else _high_orders(g, have, n)
-                if highs:
-                    top = _coefficients(x0, TOP_ORDER)
-                    for p, d, allowance in highs:
-                        tail_p, bound_p = _gauss_terms(top, d, allowance, p)
-                        if bound_p < bound:
-                            tail, bound = tail_p, bound_p
+                for p, d, allowance in num.high_orders(g, have, n):
+                    tail_p, bound_p = _gauss_terms(coeffs, d, allowance, p)
+                    if bound_p < bound:
+                        tail, bound = tail_p, bound_p
             log_value = log_pn + tail
         else:
             log_pn1 = log_pn + (log_gn - math.log(gxn))
@@ -455,9 +462,9 @@ def _scaled(g: Representer, x: float, x0: float, m: int, base: tuple,
     exp(log f(x0)) with the bracket f(x0) exp(-+bound), carried forward for m >= 0
     by prod_{k<m} g(x0+k), with the factors from ``forward`` where it holds every
     k < m. At an integer x (x0 = 1) without ``forward`` the factors g(1 .. m) come
-    from the first block's cached g(k) where that entry holds them (m <= 264):
-    the entry exists only once its call passed the fault checks, so the call it
-    saves raises and warns nothing either. For m < 0 the solved form
+    from the numerator's g(k) where it holds them all (m < K, ``_Numerator``): it
+    keeps only g(k) whose call passed the fault checks, so the call it saves
+    raises and warns nothing either. For m < 0 the solved form
     f(x) = f(x + |m|) / prod g(x + k) divides, raising PoleError when a factor
     vanishes, and NonFiniteError when the product of the factors underflows to 0.
     The product's one float-range rule: NonFiniteError where the value or a bound
@@ -469,7 +476,7 @@ def _scaled(g: Representer, x: float, x0: float, m: int, base: tuple,
     lower, upper = base_value * math.exp(-bound), base_value * math.exp(bound)
     if m >= 0:
         if forward is None and x0 == 1.0:
-            num = g.product_terms.get(BLOCK_ENDS[0])  # g(k) from k = 0, where g(1) stands in for g(0)
+            num = g.product_terms.get("numerator")  # g(k) from k = 0, where g(1) stands in for g(0)
             forward = None if num is None else num.g[1:]
         if forward is not None and m <= forward.size:
             factor = math.prod(forward[:m].tolist(), start=1.0)

@@ -84,12 +84,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str, out_path: str | None, code: int) -> int:
+    """Write ``text`` to ``out_path``, or to stdout, and return ``code``; a file that
+    cannot be written is a config error."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _fail(exc)
     else:
         sys.stdout.write(text)
+    return code
 
 
 def _fail(message: object, code: int = EXIT_CONFIG) -> int:
@@ -134,8 +140,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         "rel_gap": state.rel_gap,
         "converged": state.converged,
     }
-    _emit(_csv([fields]) if ns.output == "csv" else json.dumps(fields) + "\n", ns.out_path)
-    return EXIT_OK
+    return _emit(_csv([fields]) if ns.output == "csv" else json.dumps(fields) + "\n", ns.out_path, EXIT_OK)
 
 
 def _row(x: float, f: float | None, q: float | None, d2: float | None) -> dict:
@@ -189,22 +194,23 @@ def cmd_report(ns: argparse.Namespace) -> int:
         rows = _report_rows_function(ns) if ns.function else _report_rows_representer(ns)
     except (LogconvexError, ValueError, RecursionError) as exc:  # rows catch their own evaluation errors
         return _fail(exc)
-    _emit(json.dumps(rows) + "\n" if ns.output == "json" else _csv(rows), ns.out_path)
     incomplete = any(v is None for row in rows for v in row.values())
-    return EXIT_PARTIAL if incomplete else EXIT_OK
+    return _emit(json.dumps(rows) + "\n" if ns.output == "json" else _csv(rows), ns.out_path,
+                 EXIT_PARTIAL if incomplete else EXIT_OK)
 
 
 def cmd_checks(ns: argparse.Namespace) -> int:
     from .acceptance import run_checks
 
     results = run_checks(only=ns.only, tol=ns.tol, seed=ns.seed)
-    _emit(json.dumps([r.to_dict() for r in results], indent=2) + "\n", ns.out_path)
+    code = _emit(json.dumps([r.to_dict() for r in results], indent=2) + "\n", ns.out_path,
+                 EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILURE)
     if ns.timings:
         for r in results:
             print(json.dumps({"check": r.name, "seconds": r.seconds}), file=sys.stderr)
     if not results:
         return _fail(f"no check matches --only {ns.only!r}")
-    return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILURE
+    return code
 
 
 def _check(ns: argparse.Namespace) -> None:
@@ -220,6 +226,8 @@ def _check(ns: argparse.Namespace) -> None:
             raise ValueError("range needs n >= 2")
         if not a < b:
             raise ValueError("range needs a < b")
+        if not math.isfinite((b - a) / (n - 1)):
+            raise ValueError("range step (b - a)/(n - 1) must be finite")
         ns.range_ = (a, b, n)
     if ns.command == "eval" and not math.isfinite(ns.x):
         raise ValueError("--x must be finite")

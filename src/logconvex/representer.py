@@ -28,9 +28,10 @@ class Representer:
     construction spot-checks it on a 64-point grid. ``product_terms`` holds
     the product's terms that do not depend on x, filled by ``bohrmollerup``
     as its loop first needs them; ``fn`` being deterministic makes them valid
-    for every later x. The first block's g(k), k <= 264, serve the product's
-    numerators and also the integer anchors' f(n) = prod_{k<n} g(k) for n <= 265.
-    It takes no part in ``==``, ``repr`` or ``replace``.
+    for every later x. It holds one numerator, under the key "numerator": g(k)
+    for k < K, which every block and level of the product reads, and so do the
+    integer anchors' f(n) = prod_{k<n} g(k) for n <= K. It takes no part in
+    ``==``, ``repr`` or ``replace``.
     """
 
     fn: RealFunction

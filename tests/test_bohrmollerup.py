@@ -66,6 +66,12 @@ class TestReduceToBase:
         assert got_x0 == pytest.approx(x0, rel=1e-12)
         assert 0.0 < got_x0 <= 1.0
 
+    @pytest.mark.parametrize("call", [evaluate, extended_state, extend])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_x_is_a_domain_error(self, call, x):
+        with pytest.raises(DomainError):
+            call(IDENTITY, x)
+
 
 class TestPartialProduct:
     def test_identity_half(self):

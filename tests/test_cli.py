@@ -184,6 +184,11 @@ class TestEval:
         data = json.loads(path.read_text(encoding="utf-8"))
         assert data["converged"] is True
 
+    def test_out_file_that_cannot_be_written_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "eval.json"
+        code, out, err = run_cli(capsys, "eval", "--representer", "identity", "--x", "0.5", "--out", str(path))
+        assert (code, out) == (2, "") and err.startswith("error: ") and str(path) in err
+
     def test_bad_tol_rejected(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--representer", "identity",
                                "--x", "1", "--tol", "-1")
@@ -324,6 +329,17 @@ class TestReport:
         assert out == ""
         assert "too small" in err
 
+    def test_out_file_that_cannot_be_written_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "report.csv"
+        code, out, err = run_cli(capsys, "report", "--representer", "identity", "--range", "0.5", "1", "3",
+                                 "--out", str(path))
+        assert (code, out) == (2, "") and err.startswith("error: ") and str(path) in err
+
+    @pytest.mark.parametrize("source", [["--representer", "identity"], ["--function", "fib"]])
+    def test_step_past_float_range_exits_2(self, capsys, source):
+        code, out, err = run_cli(capsys, "report", *source, "--range", "-1e308", "1e308", "3")
+        assert (code, out) == (2, "") and "step" in err
+
     def test_range_validation(self, capsys):
         code, _, err = run_cli(capsys, "report", "--function", "fib",
                                "--range", "2", "1", "5")
@@ -354,6 +370,11 @@ class TestChecks:
         lines = [json.loads(line) for line in timed.stderr.decode().splitlines()]
         assert [t["check"] for t in lines] == [r["name"] for r in json.loads(plain.stdout)]
         assert all(set(t) == {"check", "seconds"} and t["seconds"] > 0.0 for t in lines)
+
+    def test_out_file_that_cannot_be_written_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "checks.json"
+        code, out, err = run_cli(capsys, "checks", "--only", "fibonacci", "--out", str(path))
+        assert (code, out) == (2, "") and err.startswith("error: ") and str(path) in err
 
     def test_unattainable_tolerance_fails(self, capsys):
         code, out, _ = run_cli(capsys, "checks", "--only", "gamma", "--tol", "1e-30")

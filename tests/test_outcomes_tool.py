@@ -23,6 +23,8 @@ OUTCOMES = {
                             "series": [["0x1.4c11361a11819p-53", []], [["NonFiniteError", "at x+k=519.0"], []]]}],
     },
     "fib_report": {"0 1 2": {"exit": 0, "stderr": "", "columns": {"x": ["0x0.0p+0", "0x1.0p-1", "0x1.0p+0"]}}},
+    "deep": {"states": [["identity", "0x1.7ae147ae147aep-2", 1e-12, 300, [STATE, []], [list(STATE), []]]],
+             "anchors": [[1, [[0, "0x1.0p+0"], []], [[0, "0x1.0p+0"], []]]]},
 }
 
 
@@ -53,6 +55,12 @@ def other_change():
     return new
 
 
+def deep_moved():
+    new = copy.deepcopy(OUTCOMES)
+    new["deep"]["states"][0][5][0][4] = "0x1.f69c42084efb9p-3"  # the warm value, one ulp up
+    return new
+
+
 def test_identical_outcomes_exit_0(tmp_path):
     code, tally = compare(tmp_path, copy.deepcopy(OUTCOMES))
     assert code == 0
@@ -60,8 +68,9 @@ def test_identical_outcomes_exit_0(tmp_path):
 
 
 @pytest.mark.parametrize("new,path,field", [(moved_state, "point_eval/identity:0.0 tol=1e-12", "moved"),
-                                           (other_change, "convexity_scan/series", "other")],
-                         ids=["a float moved", "another value changed"])
+                                           (other_change, "convexity_scan/series", "other"),
+                                           (deep_moved, "deep/states", "moved")],
+                         ids=["a float moved", "another value changed", "a deep state moved"])
 def test_any_change_exits_1(tmp_path, new, path, field):
     code, tally = compare(tmp_path, new())
     assert code == 1

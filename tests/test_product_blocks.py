@@ -9,9 +9,10 @@ per level and order-p terms in their own scalar code, kept here as
 the forward chain's own call:
 the same state bits, the same exceptions with the same messages and
 attributes, and the same warnings, also where g fails past the level where
-the loop stops. A representer caches each block's g(k) and level terms for
-later calls (``Representer.product_terms``): a warm representer must give
-what a fresh one gives, and hold one entry per block whatever it is asked.
+the loop stops. A representer caches its g(k) and level terms for later
+calls in one numerator (``Representer.product_terms``): a warm representer
+must give what a fresh one gives, and hold g's own values in one array,
+whatever it is asked.
 """
 
 import math
@@ -353,11 +354,36 @@ def test_a_warm_representer_gives_the_cold_outcomes(spec, calls):
         assert outcome(warm, x, tol, max_n) == outcome(from_spec(spec), x, tol, max_n), (spec, x, tol, max_n)
 
 
-def test_the_cache_holds_one_entry_per_block_whatever_max_n():
-    """Sweeping x, tol and max_n over every block leaves one entry per BLOCK_ENDS value,
-    with the terms of the doubling levels alone, and no more memory than the full
-    blocks' g(k) and log g(k). ``x + 0.5*sin(x)`` converges like 1/n (the sandwich
-    fallback), so each call runs its levels to max_n."""
+@settings(max_examples=100, deadline=None)
+@given(FAMILIES | st.sampled_from(["exp(x^0.9)", "x + exp(5*x-600)", "1e-288*x^-5", "x + 0.5*sin(x)"]),
+       st.lists(CALLS, min_size=1, max_size=5))
+@example("identity", [(0.37, 1e-12, 100), (0.5, 1e-12, 2 ** 20)])  # the higher orders' window extends it
+@example("power:c=40", [(0.05, 1e-13, 2 ** 20)])  # ... past the second block
+@example("x + 0.5*sin(x)", [(0.37, 1e-8, 300), (0.37, 1e-8, 20000)])  # ... and it grows to the last block
+def test_the_numerator_holds_g_s_own_values(spec, calls):
+    """After any calls on one representer, the numerator's g(k) are those of a fresh call
+    of g at every k < K (g(1) for g(0) := 1), each at least POLE_TOL, their logs those
+    of ``np.log`` with log g(0) := 0, and K <= CHUNK + 2 TOP_ORDER + 1."""
+    g = from_spec(spec)
+    for x, tol, max_n in calls:
+        outcome(g, x, tol, max_n)
+    if all(bm.reduce_to_base(x)[0] == 1.0 for x, _, _ in calls):  # only anchors ran, and they cache nothing
+        return
+    num = g.product_terms["numerator"]
+    ks = np.arange(num.g.size, dtype=float)
+    ks[:1] = 1.0
+    want = from_spec(spec).values(ks)
+    logs = np.log(want)
+    logs[:1] = 0.0
+    assert bits(num.g.tolist()) == bits(want.tolist()) and bits(num.logs.tolist()) == bits(logs.tolist())
+    assert num.g.size <= CHUNK + 2 * TOP_ORDER + 1 and not num.g.min(initial=math.inf) < POLE_TOL
+
+
+def test_the_cache_holds_one_numerator_whatever_max_n():
+    """Sweeping x, tol and max_n over every block leaves one numerator, g(k) for every k
+    of the last block's windows, with the terms of the doubling levels alone, and no
+    more memory than its g(k) and log g(k). ``x + 0.5*sin(x)`` converges like 1/n (the
+    sandwich fallback), so each call runs its levels to max_n."""
     g = from_spec("x + 0.5*sin(x)")
     extended_state(g, 0.37, 1e-8, 4)
     max_ns = [*range(4, 300), *range(300, CHUNK + 1, 331), CHUNK]
@@ -369,15 +395,11 @@ def test_the_cache_holds_one_entry_per_block_whatever_max_n():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sorted(g.product_terms) == list(BLOCK_ENDS)
-    starts = (0, *BLOCK_ENDS)
-    full = 0
-    for start, end in zip(starts, BLOCK_ENDS):
-        num = g.product_terms[end]
-        assert num.start == start and num.g.size == end + 2 * ORDER + 1 - start
-        assert all(n & (n - 1) == 0 for n in num.levels), sorted(num.levels)
-        full += num.g.nbytes + num.logs.nbytes
-    assert held < full + 2 ** 15, (held, full)
+    assert list(g.product_terms) == ["numerator"]
+    num = g.product_terms["numerator"]
+    assert num.g.size == num.logs.size == CHUNK + 2 * ORDER + 1
+    assert all(n & (n - 1) == 0 for n in num.levels), sorted(num.levels)
+    assert held < num.g.nbytes + num.logs.nbytes + 2 ** 15, held
 
 
 def test_order_4_settles_the_tol_1e_8_states(monkeypatch):
@@ -396,8 +418,8 @@ def test_order_4_settles_the_tol_1e_8_states(monkeypatch):
 def test_the_higher_orders_are_kept_for_doubling_levels_alone():
     """``power:c=40`` tries the higher orders at the last level of the first block for
     tol 1e-10 and below. Sweeping x, tol and max_n keeps their terms for
-    the doubling levels alone, in the one entry per block, within the memory bound
-    of ``test_the_cache_holds_one_entry_per_block_whatever_max_n``."""
+    the doubling levels alone, in the one numerator, within the memory bound
+    of ``test_the_cache_holds_one_numerator_whatever_max_n``."""
     g = from_spec("power:c=40")
     max_ns = [*range(4, 300), *range(300, 4097, 97), 4096]
     random.Random(2).shuffle(max_ns)
@@ -408,12 +430,11 @@ def test_the_higher_orders_are_kept_for_doubling_levels_alone():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sorted(g.product_terms) == list(BLOCK_ENDS[:2]) and g.product_terms[256].highs
-    full = 0
-    for num in g.product_terms.values():
-        assert all(n & (n - 1) == 0 for n in num.highs), sorted(num.highs)
-        full += num.g.nbytes + num.logs.nbytes
-    assert held < full + 2 ** 15, (held, full)
+    assert list(g.product_terms) == ["numerator"]
+    num = g.product_terms["numerator"]
+    assert num.g.size == 4096 + 2 * ORDER + 1 and 256 in num.highs
+    assert all(n & (n - 1) == 0 for n in num.highs), sorted(num.highs)
+    assert held < num.g.nbytes + num.logs.nbytes + 2 ** 15, held
 
 
 @pytest.mark.parametrize("spec,flips", [("x*exp(3*exp(-x/50))", [6]), ("x^2*exp(10*exp(-x/80))", [5, 6])])
@@ -431,8 +452,8 @@ def test_a_higher_order_must_keep_the_sign_of_the_level_before(spec, flips):
 
 
 class TestIntegerAnchors:
-    """An integer x runs no product: f(x) = prod g(1 .. x-1), from the first block's cached
-    g(k), k <= 256 + 2p, where a representer holds them, else from a call of g."""
+    """An integer x runs no product: f(x) = prod g(1 .. x-1), from the numerator's cached
+    g(k), k < K, where a representer holds them all, else from a call of g."""
 
     def test_a_warm_anchor_makes_no_call_of_g(self, monkeypatch):
         calls = count_calls(monkeypatch)
@@ -454,7 +475,7 @@ class TestIntegerAnchors:
         cache, so one representer that never ran a product serves every cold call."""
         warm, cold = from_spec(spec), from_spec(spec)
         extended_state(warm, 0.5)
-        assert warm.product_terms[BLOCK_ENDS[0]].g.size == BLOCK_ENDS[0] + 2 * ORDER + 1
+        assert warm.product_terms["numerator"].g.size == BLOCK_ENDS[0] + 2 * ORDER + 1
         for x in range(1, 268):
             got = outcome(warm, float(x))
             assert got == outcome(cold, float(x)), (spec, x)
@@ -463,23 +484,39 @@ class TestIntegerAnchors:
 
     def test_an_anchor_past_a_faulted_or_short_entry_makes_the_call(self, monkeypatch):
         """g = x + exp(5x - 600) overflows at 262. Its first block faults at tol 1e-6 and
-        leaves no entry; with max_n = 16 it leaves g(k) for k <= 24. Where the entry does
-        not hold g(1 .. x-1), the anchor makes the call a fresh representer makes, with
-        its exception and warning."""
+        keeps no g(k); with max_n = 16 it keeps g(k) for k <= 32, the window of the orders
+        past ORDER at its last level. Where the numerator does not hold g(1 .. x-1), the
+        anchor makes the call a fresh representer makes, with its exception and warning."""
         spec = "x + exp(5*x-600)"
         faulted, short = from_spec(spec), from_spec(spec)
-        assert extended_state(faulted, 0.5, 1e-6).n == 64 and faulted.product_terms == {}
+        assert extended_state(faulted, 0.5, 1e-6).n == 64 and faulted.product_terms["numerator"].g.size == 0
         extended_state(short, 0.5, 1e-8, 16)
-        assert short.product_terms[BLOCK_ENDS[0]].g.size == 16 + 2 * ORDER + 1
+        assert short.product_terms["numerator"].g.size == 16 + 2 * TOP_ORDER + 1
         calls = count_calls(monkeypatch)
-        for g, x, call in [(faulted, 10.0, [9]), (faulted, 263.0, [262]), (short, 25.0, []),
-                           (short, 26.0, [25]), (short, 263.0, [262])]:
+        for g, x, call in [(faulted, 10.0, [9]), (faulted, 263.0, [262]), (short, 33.0, []),
+                           (short, 34.0, [33]), (short, 263.0, [262])]:
             want = outcome(from_spec(spec), x)
             calls.clear()
             assert outcome(g, x) == want and calls == call, (x, call)
         assert want == ((NonFiniteError, "x + exp(5*x-600): non-finite value at x=262.0",
                          repr([("value", math.inf), ("x", 262.0)])),
                         [(RuntimeWarning, "overflow encountered in exp")])
+
+    def test_a_warm_anchor_past_the_first_block_makes_no_call_of_g(self, monkeypatch):
+        """After a call that runs every block, the numerator holds g(k) for k < CHUNK + 2p + 1,
+        so the anchors up to x = CHUNK + 2p + 1 make no call of g, and give a cold call's
+        state, exception and warning; the next makes the cold call."""
+        spec = "x + 0.5*sin(x)"
+        warm, cold = from_spec(spec), from_spec(spec)
+        extended_state(warm, 0.37, 1e-8, 20000)
+        last = CHUNK + 2 * ORDER + 1
+        assert warm.product_terms["numerator"].g.size == last
+        want = {x: outcome(cold, x) for x in (266.0, 1000.0, float(last), last + 1.0)}
+        calls = count_calls(monkeypatch)
+        for x in (266.0, 1000.0, float(last)):
+            assert outcome(warm, x) == want[x], x
+        assert calls == []
+        assert outcome(warm, last + 1.0) == want[last + 1.0] and calls == [CHUNK, last - CHUNK]
 
     @pytest.mark.parametrize("x", [0.0, -1.0, -2.0, -7.0])
     def test_a_negative_integer_is_still_a_pole(self, x):

@@ -10,7 +10,11 @@ type and message:
 - every convexity_scan series value, scan report and Mellin probe report;
 - once, not per seed, the stdout, stderr and exit code of ``report --function
   fib --output json`` on the five ranges the CLI tests pin, with every cell as
-  ``float.hex`` (``fib_report``).
+  ``float.hex`` (``fib_report``);
+- once, not per seed, a deep sweep of the product (``deep``): the benchmark's
+  states all stop in the first block, so this one runs its later blocks,
+  faulted blocks, the higher orders and the levels past 2^14, and the integer
+  anchors a long cache serves.
 
 The point_eval and report_grid states are recorded twice: "cold", on a
 representer built for that one call, and "warm", on one representer per
@@ -147,6 +151,41 @@ def fib_report() -> dict:
     return out
 
 
+#: the representers, points, tolerances and truncation caps of ``deep``
+DEEP_SPECS = ["identity", "x+0.37", "x*(x+1)", "power:c=0.7", "power:c=1.5", "power:c=40", "fibonacci",
+              "x + 0.5*sin(x)", "x+sqrt(x)", "(x+1)/(x+2)*x", "x^2+x+1", "exp(x^0.9)", "x + exp(5*x-600)"]
+DEEP_XS = [0.05, 0.37, 0.5, 0.93, 3.3, -2.6, 17.25]
+DEEP_TOLS = [1e-8, 1e-10, 1e-12, 1e-13, 1e-14]
+DEEP_MAX_NS = [300, 5000, 2 ** 20]
+
+
+def deep() -> dict:
+    """States of every (spec, x, tol, max_n) of the lists above, cold, on a representer
+    built for that one call, and warm, on one representer per spec that runs the calls
+    in turn (max_n outermost, so its cache grows from short to long); ``x + 0.5*sin(x)``,
+    which converges like 1/n and so runs every level to max_n, takes max_n = 2^20 at
+    x = 0.37 alone. Then the integer anchors x = 1, 8, ..., 16997, cold and after a
+    max_n = 20000 call of ``x + 0.5*sin(x)``, whose cache then reaches past 2^14."""
+    def state(g, x, tol, max_n):
+        return _outcome(lambda: astuple(lc.bohrmollerup.extended_state(g, x, tol, max_n)))
+
+    states = []
+    for spec in DEEP_SPECS:
+        warm = lc.from_spec(spec)
+        for max_n in DEEP_MAX_NS:
+            for x in DEEP_XS:
+                if spec == "x + 0.5*sin(x)" and max_n == 2 ** 20 and x != 0.37:
+                    continue
+                for tol in DEEP_TOLS:
+                    states.append([spec, x.hex(), tol, max_n, state(lc.from_spec(spec), x, tol, max_n),
+                                   state(warm, x, tol, max_n)])
+    cold, warm = lc.from_spec("x + 0.5*sin(x)"), lc.from_spec("x + 0.5*sin(x)")
+    lc.bohrmollerup.extended_state(warm, 0.37, 1e-8, 20000)
+    anchors = [[x, state(cold, float(x), 1e-8, 20000), state(warm, float(x), 1e-8, 20000)]
+               for x in range(1, 16998, 7)]  # an anchor caches nothing, so ``cold`` stays cold
+    return {"states": states, "anchors": anchors}
+
+
 #: what ``float.hex`` writes for the values that are not finite
 NONFINITE = ("nan", "inf", "-inf")
 
@@ -256,6 +295,7 @@ def main(argv: list[str] | None = None) -> int:
     out = {str(seed): {"point_eval": point_eval(seed), "report_grid": report_grid(seed),
                        "convexity_scan": convexity_scan(seed)} for seed in ns.seeds}
     out["fib_report"] = fib_report()
+    out["deep"] = deep()
     json.dump(out, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0
