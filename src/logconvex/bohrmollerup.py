@@ -105,15 +105,18 @@ class InterpolationTarget:
 
 
 def reduce_to_base(x: float) -> tuple[float, int]:
-    """Split x = x0 + m with x0 in (0, 1] and integer m; DomainError for x not finite."""
+    """Split x = x0 + m with x0 in (0, 1] and integer m; DomainError for x not finite.
+
+    An integer x gives (1.0, x - 1) exactly, whatever its size. Any other x has
+    |x| < 2^52, and x0 = x - floor(x), which is exact outside (-1, 0) (Sterbenz)
+    and rounds to 1.0 for -2^-54 <= x < 0.
+    """
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x!r}")
-    m = math.ceil(x) - 1
-    x0 = x - m
-    if x0 <= 0.0:  # guard against rounding at integer boundaries
-        x0 += 1.0
-        m -= 1
-    return x0, int(m)
+    m = math.floor(x)
+    if m == x:
+        return 1.0, m - 1
+    return x - m, m
 
 
 def _log_terms(g: Representer, x: float, lo: int, hi: int, total: float = 0.0) -> float:
@@ -147,8 +150,12 @@ def _log_terms(g: Representer, x: float, lo: int, hi: int, total: float = 0.0) -
 
 
 def _shift_product(g: Representer, x: float, count: int) -> float:
-    """prod_{k<count} g(x+k) left to right (empty product 1). A vanishing factor, which
-    a representer positive on (0, inf) has only below x = 0, raises PoleError."""
+    """prod_{k<count} g(x+k) left to right (empty product 1), CHUNK factors per call of g.
+    A vanishing factor, which a representer positive on (0, inf) has only below x = 0,
+    raises PoleError. For x > 0 the chain stops at the first call after which the
+    product is 0 or +-inf, which no further factor can change, so a huge count costs
+    the calls up to where the product leaves float range; the chain from x < 0
+    evaluates every factor, each of which may be a pole."""
     acc = 1.0
     for lo in range(0, count, CHUNK):
         vals = g.values(x + np.arange(lo, min(lo + CHUNK, count), dtype=float))
@@ -158,6 +165,8 @@ def _shift_product(g: Representer, x: float, count: int) -> float:
             raise PoleError(f"g({x + k!r}) vanishes in the negative-extension chain",
                             point=x + k, k=k)
         acc = math.prod(vals.tolist(), start=acc)
+        if x > 0.0 and (acc == 0.0 or math.isinf(acc)):
+            break
     return acc
 
 
@@ -196,7 +205,7 @@ def _differences(vals: list[float], order: int) -> tuple[list[float], int, float
 def _gauss_terms(coeffs: tuple[list[float], list[float]], d: list[float], allowance: float,
                  p: int) -> tuple[float, float]:
     """(sum_{j=1..p} C(x0, j) Delta^{j-1} log g(n), |C(x0-1, p)| (|Delta^p log g(n)| + allowance))
-    from ``coeffs`` = ``_coefficients(x0, order)``, order >= p, and d = [Delta^j log g(n), j = 0..p]."""
+    from ``coeffs`` = ``_coefficients(x0, order)``, order >= p, and d = [Delta^j log g(n), j = 0..p, ...]."""
     cs, cps = coeffs
     tail = 0.0
     for c, dj in zip(cs[:p], d):
@@ -216,51 +225,38 @@ def _level(win: list[float]) -> tuple:
     return math.log(win[0]), None, 0, 0.0, win[0]
 
 
-def _high_orders(g: Representer, prev: int, n: int, num: _Numerator | None = None) -> tuple:
-    """The x-independent terms of orders ORDER+1 .. TOP_ORDER at level n, whose level
-    before is ``prev`` (0 at the first level): (p, [Delta^j log g(n) for j = 0..p],
-    allowance) for each p at which Delta^p log g keeps one sign over n .. n+p that it
-    kept over prev .. prev+p too, with the signs and allowance of ``_differences``.
-
-    The windows g(prev .. prev+2 TOP_ORDER) and g(n .. n+2 TOP_ORDER) are slices of
-    ``num``, extended to n + 2 TOP_ORDER by ``_Numerator.call`` up to n = CHUNK. Past
-    CHUNK, without ``num``, or where the extension meets a fault, they come from one
-    call of g of their own. Where that call meets a fault (an exception or a
-    floating-point signal), or a value is <= 0, no order qualifies: the result is
-    empty, and nothing is raised or warned.
-    """
-    span, starts = 2 * TOP_ORDER + 1, (prev, n) if prev else (n,)
-    if num is not None and (num.g.size >= n + span or n <= CHUNK and num.call(g, n + span) is not None):
-        wins = [num.g[k:k + span].tolist() for k in starts]
-    else:
-        try:
-            with np.errstate(all="raise"):
-                vals = g.values(np.array([k + i for k in starts for i in range(span)], dtype=float))
-        except Exception:
-            return ()
-        wins = [vals[i:i + span].tolist() for i in range(0, vals.size, span)]
-    if not min(map(min, wins)) > 0.0:
+def _high_terms(win: list[float]) -> tuple:
+    """The x-independent terms of orders ORDER+1 .. TOP_ORDER at level k from ``win`` =
+    g(k .. k+2 TOP_ORDER): (p, d, the signs Delta^p log g keeps over k .. k+p, allowance)
+    for each p, from ``_differences`` of log g(k .. k+2p). d = [Delta^j log g(k) for
+    j = 0..TOP_ORDER], one list for every p: Delta^j log g(k) depends on log g(k .. k+j)
+    alone, so order p's differences are its first p + 1, bit for bit. A window holding a
+    value <= 0 has no terms: the result is empty."""
+    if not min(win) > 0.0:
         return ()
-    logs = [list(map(math.log, win)) for win in wins]
-    out = []
-    for p in range(ORDER + 1, TOP_ORDER + 1):
-        kept = 3
-        for v in logs:  # the level before, then level n, whose terms are kept
-            d, signs, allowance = _differences(v[:2 * p + 1], p)
-            kept &= signs
-        if kept:
-            out.append((p, d, allowance))
-    return tuple(out)
+    logs = list(map(math.log, win))
+    d = _differences(logs, TOP_ORDER)[0]
+    return tuple((p, d, *_differences(logs[:2 * p + 1], p)[1:]) for p in range(ORDER + 1, TOP_ORDER + 1))
+
+
+def _quiet(fn, *args):
+    """fn(*args), or None where it raises or meets a floating-point signal; nothing is warned."""
+    try:
+        with np.errstate(all="raise"):
+            return fn(*args)
+    except Exception:  # noqa: BLE001 - every fault means no value
+        return None
 
 
 class _Numerator:
     """The product's x-independent terms, one home per representer: g(k) and log g(k)
-    for k < K = g.size, where log g(0) := 0, and the ``_level`` and ``_high_orders``
-    terms of the doubling levels, each formed when a loop first asks for it.
+    for k < K = g.size, where log g(0) := 0, and per doubling level k its ``_level``
+    terms of order ORDER and its ``_high_terms`` of the orders past it, each formed
+    from that level's own window when a loop first asks for it.
 
     K grows as the levels need it (``call``), to at most CHUNK + 2 TOP_ORDER + 1: a
     block's levels take g(k) up to its end + 2 ORDER, the orders past ORDER up to
-    n + 2 TOP_ORDER for n <= CHUNK. The same g(k) give the integer anchors'
+    k + 2 TOP_ORDER for k <= CHUNK. The same g(k) give the integer anchors'
     f(n) = prod_{k<n} g(k) for n <= K.
     """
 
@@ -283,7 +279,7 @@ class _Numerator:
             if have == 0:
                 ks[0] = 1.0  # the g(0) := 1 factor: a stand-in argument inside g's domain
             args = np.concatenate((ks, args))
-        try:
+        try:  # inline, not ``_quiet``: this call runs on every point
             with np.errstate(all="raise"):
                 vals = g.values(args)
         except Exception:
@@ -306,12 +302,21 @@ class _Numerator:
                 self.levels[n] = got
         return got
 
-    def high_orders(self, g: Representer, prev: int, n: int) -> tuple:
-        got = self.highs.get(n)
+    def high(self, g: Representer, k: int) -> tuple:
+        """``_high_terms`` of level k. Its window is a slice of the numerator, extended to
+        k + 2 TOP_ORDER by ``call`` for k <= CHUNK; past CHUNK, or where that extension
+        meets a fault, it is one quiet call of g of its own, and a fault there leaves
+        no terms: nothing is raised or warned."""
+        got = self.highs.get(k)
         if got is None:
-            got = _high_orders(g, prev, n, self)
-            if n & (n - 1) == 0:  # a doubling, whose level before is n/2 (none for 4)
-                self.highs[n] = got
+            span = 2 * TOP_ORDER + 1
+            if self.g.size >= k + span or k <= CHUNK and self.call(g, k + span) is not None:
+                win = self.g[k:k + span]
+            else:
+                win = _quiet(g.values, np.arange(k, k + span, dtype=float))
+            got = () if win is None else _high_terms(win.tolist())
+            if k & (k - 1) == 0:  # the doublings from 4, which every max_n shares
+                self.highs[k] = got
         return got
 
 
@@ -364,8 +369,10 @@ def _base_state(g: Representer, x0: float, m: int, tol: float,
     every level past CHUNK, which n alone decides, so a faulted block's replay
     decides alike. There a trusted order-ORDER bound that with its rounding
     allowance is above ``tol`` is set against the orders up to TOP_ORDER, each
-    trusted by the same rule at its own p (``_high_orders``), and the level takes
-    the trusted order with the smallest bound, with its tail. Either bound
+    trusted by the same rule at its own p: Delta^p log g keeps one sign over
+    n .. n+p, one it kept over the level before's window too (either sign at the
+    first level), read from the two levels' ``_Numerator.high`` records. The level
+    takes the trusted order with the smallest bound, with its tail. Either bound
     adds a rounding allowance of (n + |m| + 1) eps for the n terms and the
     |m|-step scaling. DivergenceError is raised when the ratio gap
     |g(x+n)/g(n) - 1| fails to decrease over three successive doublings, the
@@ -382,8 +389,9 @@ def _base_state(g: Representer, x0: float, m: int, tol: float,
     takes, from its ``_level`` terms and g(x0+n), only what its branch uses: the
     order-p tail and bound (``_gauss_terms``) where the bound is trusted, else
     log g(n) - log g(x0+n) and x0 log g(n) for the sandwich; and |g(x0+n)/g(n) - 1|.
-    The orders past ORDER take their windows from the numerator too, which one
-    more call extends to n + 2 TOP_ORDER where it is short (``_high_orders``).
+    The orders past ORDER take each level's window g(n .. n+2 TOP_ORDER) from the
+    numerator too, which one more call extends where it is short (``_Numerator.high``),
+    and keep its terms per doubling level, as the order-ORDER terms are kept.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
@@ -423,10 +431,14 @@ def _base_state(g: Representer, x0: float, m: int, tol: float,
             tail, bound = _gauss_terms(coeffs, d, allowance, ORDER)
             # past a block's last level the loop needs new g(x0+k): try the higher orders first
             if bound + rounding > tol and (n == max_n or n in BLOCK_ENDS or n > CHUNK):
-                for p, d, allowance in num.high_orders(g, have, n):
-                    tail_p, bound_p = _gauss_terms(coeffs, d, allowance, p)
-                    if bound_p < bound:
-                        tail, bound = tail_p, bound_p
+                # order p needs a sign of Delta^p log g that the level before kept (the first
+                # level is its own: either sign); level n's record first, as the numerator
+                # extension it makes covers the level before's window too
+                for (p, d_p, signs_p, allowance_p), (_, _, kept, _) in zip(num.high(g, n), num.high(g, have or n)):
+                    if signs_p & kept:
+                        tail_p, bound_p = _gauss_terms(coeffs, d_p, allowance_p, p)
+                        if bound_p < bound:
+                            tail, bound = tail_p, bound_p
             log_value = log_pn + tail
         else:
             log_pn1 = log_pn + (log_gn - math.log(gxn))
@@ -665,11 +677,8 @@ def logconvexity_series(g: Representer, x: float, tol: float = 1e-8) -> float:
     while k < SERIES_BUDGET:
         size = min(chunk, SERIES_BUDGET - k)
         us = x + np.arange(k, k + size + 2 * ORDER + 1, dtype=float)
-        try:
-            with np.errstate(all="raise"):
-                h, dlog = _series_terms(g, us)
-        except Exception:  # replayed below in the order of the checks
-            h, dlog = _series_terms(g, us[:size])
+        # a fault replays the chunk alone, so its checks raise in their order
+        h, dlog = _quiet(_series_terms, g, us) or _series_terms(g, us[:size])
         terms = h[:size]
         total += float(np.sum(terms))
         abs_terms = np.abs(terms)

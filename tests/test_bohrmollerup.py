@@ -3,9 +3,12 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from logconvex import (
     DivergenceError,
@@ -34,7 +37,7 @@ from logconvex import (
 from logconvex import bohrmollerup as bm
 from logconvex.bohrmollerup import reduce_to_base
 from logconvex.funcore import log_d2
-from test_product_blocks import _gauss_tail, outcome, reference_outcome
+from test_product_blocks import _gauss_tail, count_calls, outcome, reference_outcome
 
 SQRT_PI = math.sqrt(math.pi)
 IDENTITY = builtin("identity")
@@ -65,6 +68,16 @@ class TestReduceToBase:
         assert got_m == m
         assert got_x0 == pytest.approx(x0, rel=1e-12)
         assert 0.0 < got_x0 <= 1.0
+
+    @given(st.floats(-1e300, 1e300))
+    @example(2.0 ** 53 + 2)  # x - m rounds here: m was one too large
+    @example(1e20)  # ... and here one too small
+    @example(-2.0 ** 60)
+    def test_the_split_is_exact(self, x):
+        x0, m = reduce_to_base(x)
+        assert 0.0 < x0 <= 1.0 and isinstance(m, int)
+        if abs(x) >= 1.0:
+            assert Fraction(x0) + m == Fraction(x)
 
     @pytest.mark.parametrize("call", [evaluate, extended_state, extend])
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
@@ -355,6 +368,22 @@ class TestExtend:
         for x in (171.62437695621261, 500.5):
             with pytest.raises(NonFiniteError, match="leaves float range"):
                 extended_state(IDENTITY, x)
+
+    @pytest.mark.parametrize("x", [1e8, 1e20, 2.0 ** 53 + 2])
+    def test_the_forward_chain_stops_once_it_leaves_float_range(self, monkeypatch, x):
+        """f(x) = (x-1)! overflows within the first CHUNK factors, and no later factor of
+        a chain from x0 > 0 can bring it back, so one call of g decides."""
+        calls = count_calls(monkeypatch)
+        with pytest.raises(NonFiniteError, match="leaves float range"):
+            extended_state(builtin("identity"), x)
+        assert calls == [bm.CHUNK]
+
+    def test_the_backward_chain_evaluates_every_factor(self):
+        """From x = -20000.5 the product of the first CHUNK factors g(x+k) overflows, and the
+        pole of g at -0.5, a factor of the second call, still raises."""
+        g = Representer(fn=RealFunction(fn=lambda t: np.where(t == -0.5, 0.0, t), name="holed"))
+        with pytest.raises(PoleError, match="negative-extension chain"):
+            extended_state(g, -20000.5)
 
     def test_shift_chain_is_one_left_to_right_product(self):
         g = builtin("power", c=0.001)

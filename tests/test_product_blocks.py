@@ -28,10 +28,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logconvex import NonFiniteError, RealFunction, Representer, builtin, extended_state, from_spec
+from logconvex import NonFiniteError, RealFunction, Representer, builtin, extended_state, from_spec, sandwich_bounds
 from logconvex import bohrmollerup as bm
 from logconvex.bohrmollerup import BLOCK_ENDS, CHUNK, ORDER, POLE_TOL, SHRINK, TOP_ORDER, _log_terms
-from logconvex.errors import DivergenceError, PoleError
+from logconvex.errors import DivergenceError, NonPositiveError, PoleError
 from logconvex.funcore import EPS
 from test_rational_family import rational
 
@@ -209,6 +209,8 @@ class TestBlocks:
     @example("identity", 0.37, 1e-8, 16)  # a first block that ends at 16
     @example("power:c=0.5", 257.37, 1e-8, 2 ** 20)  # g(x0+k), k < 257, all from the first block
     @example("power:c=0.5", 258.37, 1e-8, 2 ** 20)  # ... one past it: its own call
+    @example("x*exp(exp(-x/10))", 0.37, 1e-10, 64)  # orders 7 and 8 flip their signs from level 32 to 64
+    @example("x*exp(exp(-x/10))", 0.05, 1e-8, 100)  # ... and from 64 to 100
     def test_states_and_exceptions_match_two_calls_per_level(self, spec, x, tol, max_n):
         g = representer(spec)
         assert outcome(g, x, tol, max_n) == reference_outcome(g, x, tol, max_n), (spec, x, tol, max_n)
@@ -247,9 +249,26 @@ class TestBlocks:
         raised or warned; without, level 512's own call raises the fault."""
         got, caught = outcome(g, 0.5, 1e-12, 256)
         assert got[0] == 256 and not got[-1] and caught == []
-        assert bm._high_orders(g, 128, 256) == ()
+        assert bm._Numerator().high(g, 256) == ()
         for max_n in (256, 2 ** 20):
             assert outcome(g, 0.5, 1e-12, max_n) == reference_outcome(g, 0.5, 1e-12, max_n)
+
+    @pytest.mark.parametrize("at,value,error", [
+        (16.5, 0.0, (PoleError, "g(x+k) vanishes at k=16 (x+k=16.5)")),
+        (16.0, -1.0, (NonPositiveError,
+                      "representer must stay positive on (0, inf); g(k) or g(x+k) <= 0 at k=16 (x=0.5)")),
+    ], ids=["pole", "non-positive"])
+    def test_a_fault_at_k_equal_n_raises_that_term_s_error(self, at, value, error):
+        """g(16.5) = 0 or g(16) = -1 faults the first block, so level 16 makes its own calls,
+        whose value at k = n fails, and raises the k = 16 term's error, as the reference
+        loop and ``sandwich_bounds`` at n = 16 do."""
+        g = Representer(fn=RealFunction(fn=lambda t: np.where(t == at, value, t), name="holed"))
+        got = outcome(g, 0.5)
+        assert got == reference_outcome(g, 0.5)
+        assert got[0][:2] == error and got[1] == []
+        with pytest.raises(error[0]) as raised:
+            sandwich_bounds(g, 0.5, 16)
+        assert (type(raised.value), str(raised.value), repr(sorted(vars(raised.value).items()))) == got[0]
 
     def test_a_late_fault_is_neither_raised_nor_warned_about(self):
         state, caught = outcome(representer("x + exp(5*x-600)"), 0.5, 1e-6)
@@ -302,6 +321,27 @@ class TestBlocks:
             first = [(256 + 2 * ORDER + 1) + (256 + 1), 2 * (TOP_ORDER - ORDER)]
             assert calls == (first if i == 0 else [256 + 1]), (x, calls)
             calls.clear()
+
+    def test_a_warm_point_reads_both_levels_records_from_the_cache(self, monkeypatch):
+        """A tol-1e-12 point that stops at n = 256 qualifies the orders past ORDER against
+        the records of levels 256 and 128. A fresh representer forms each once, from its
+        own window, and the numerator's one extension to g(272) is the one call past the
+        block's. A warm point at another x forms neither again and makes only its block's
+        call; the records are kept for those doubling levels alone."""
+        calls = count_calls(monkeypatch)
+        formed = []
+        high_terms = bm._high_terms
+        monkeypatch.setattr(bm, "_high_terms", lambda win: formed.append(len(win)) or high_terms(win))
+        g = builtin("identity")
+        assert extended_state(g, 0.37, 1e-12).n == 256
+        assert formed == [2 * TOP_ORDER + 1] * 2
+        assert calls == [(256 + 2 * ORDER + 1) + (256 + 1), 2 * (TOP_ORDER - ORDER)]
+        formed.clear()
+        calls.clear()
+        state = extended_state(g, 0.81, 1e-12)
+        assert state.n == 256 and state.converged
+        assert formed == [] and calls == [256 + 1]
+        assert sorted(g.product_terms["numerator"].highs) == [128, 256]
 
 
 WINDOW = st.floats(1e-300, 1e300) | st.floats(-2.0, 0.0)
@@ -443,12 +483,47 @@ def test_a_higher_order_must_keep_the_sign_of_the_level_before(spec, flips):
     (1/s)^p and log x^a's like p!/n^p, so which one sets the sign of Delta^p log g
     can change between n = 128 and 256 for some orders p alone. Those orders keep one
     sign over each window, a different one, and are not trusted at 256; the others
-    are those whose signs by ``_gauss_tail`` agree."""
+    are those whose signs by ``_gauss_tail`` agree. Each level's record holds its own
+    window's signs, and the loop qualifies the orders whose records share a sign."""
     g = from_spec(spec)
     wins = [g.values(k + np.arange(2 * TOP_ORDER + 1, dtype=float)).tolist() for k in (128, 256)]
     signs = {p: [_gauss_tail(0.5, w[:2 * p + 1], p)[3] for w in wins] for p in range(ORDER + 1, TOP_ORDER + 1)}
     assert [p for p, (a, b) in signs.items() if a and b and not a & b] == flips
-    assert [p for p, *_ in bm._high_orders(g, 128, 256)] == [p for p, (a, b) in signs.items() if a & b]
+    num = bm._Numerator()
+    records = [num.high(g, k) for k in (256, 128)]  # the loop's order: the level, then the level before
+    assert [[r[2] for r in rec] for rec in records[::-1]] == [list(s) for s in zip(*signs.values())]
+    qualified = [a[0] for a, b in zip(*records) if a[2] & b[2]]
+    assert qualified == [p for p, (a, b) in signs.items() if a & b]
+
+
+def fresh_high_terms(g: Representer, k: int) -> tuple:
+    """The records of ``_Numerator.high`` from their definition: for p = ORDER+1 .. TOP_ORDER,
+    (p, *``_differences`` of math.log of a fresh g(k .. k+2p)), from one call of g at
+    k .. k+2 TOP_ORDER; empty where that call faults or a value is <= 0."""
+    try:
+        with np.errstate(all="raise"):
+            win = g.values(k + np.arange(2 * TOP_ORDER + 1, dtype=float)).tolist()
+    except Exception:  # noqa: BLE001 - every fault leaves no terms
+        return ()
+    if not all(v > 0.0 for v in win):
+        return ()
+    return tuple((p, *bm._differences([math.log(v) for v in win[:2 * p + 1]], p))
+                 for p in range(ORDER + 1, TOP_ORDER + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(FAMILIES, st.lists(st.sampled_from([2 ** j for j in range(2, 16)]), min_size=1, max_size=4))
+@example("identity", [CHUNK, 2 * CHUNK, 128])  # a numerator at its largest, a level past it, a slice
+@example("fibonacci", [CHUNK])  # g overflows before CHUNK: the extension faults, the own call too
+def test_a_level_s_record_is_its_own_window_s_differences(spec, ks):
+    """``_Numerator.high(g, k)`` at doubling levels up to CHUNK, which read the numerator
+    and extend it, and past CHUNK, which make their own call, in any order, has the bits
+    of ``_differences`` on a fresh call of g at k .. k+2 TOP_ORDER; order p's differences
+    are the first p + 1 of the list the orders share."""
+    g, num = from_spec(spec), bm._Numerator()
+    for k in ks:
+        got = [(p, d[:p + 1], signs, allowance) for p, d, signs, allowance in num.high(g, k)]
+        assert repr(got) == repr(list(fresh_high_terms(from_spec(spec), k))), (spec, k)
 
 
 class TestIntegerAnchors:
@@ -505,7 +580,8 @@ class TestIntegerAnchors:
     def test_a_warm_anchor_past_the_first_block_makes_no_call_of_g(self, monkeypatch):
         """After a call that runs every block, the numerator holds g(k) for k < CHUNK + 2p + 1,
         so the anchors up to x = CHUNK + 2p + 1 make no call of g, and give a cold call's
-        state, exception and warning; the next makes the cold call."""
+        state, exception and warning; the next makes the cold call, whose product leaves
+        float range in its first CHUNK factors, so the chain stops there."""
         spec = "x + 0.5*sin(x)"
         warm, cold = from_spec(spec), from_spec(spec)
         extended_state(warm, 0.37, 1e-8, 20000)
@@ -516,7 +592,7 @@ class TestIntegerAnchors:
         for x in (266.0, 1000.0, float(last)):
             assert outcome(warm, x) == want[x], x
         assert calls == []
-        assert outcome(warm, last + 1.0) == want[last + 1.0] and calls == [CHUNK, last - CHUNK]
+        assert outcome(warm, last + 1.0) == want[last + 1.0] and calls == [CHUNK]
 
     @pytest.mark.parametrize("x", [0.0, -1.0, -2.0, -7.0])
     def test_a_negative_integer_is_still_a_pole(self, x):
