@@ -192,10 +192,9 @@ def _differences(vals: list[float], order: int) -> tuple[list[float], int, float
     of the differences, counts as either sign, and ``allowance`` is that width,
     the error a bound from Delta^p v must add; elsewhere it is 0.
     """
-    d = vals
-    heads = [d[0]]
+    d, heads, sub = vals, [vals[0]], operator.sub
     for _ in range(order):
-        d = list(map(operator.sub, d[1:], d))
+        d = [*map(sub, d[1:], d)]  # a list display: no call of list() per row
         heads.append(d[0])
     lo, hi = min(d), max(d)
     allowance = 0.0 if lo >= 0.0 or hi <= 0.0 else 2 ** order * EPS * max(map(abs, vals))
@@ -203,40 +202,36 @@ def _differences(vals: list[float], order: int) -> tuple[list[float], int, float
 
 
 def _gauss_terms(coeffs: tuple[list[float], list[float]], d: list[float], allowance: float,
-                 p: int) -> tuple[float, float]:
-    """(sum_{j=1..p} C(x0, j) Delta^{j-1} log g(n), |C(x0-1, p)| (|Delta^p log g(n)| + allowance))
-    from ``coeffs`` = ``_coefficients(x0, order)``, order >= p, and d = [Delta^j log g(n), j = 0..p, ...]."""
+                 p: int, tail: float = 0.0) -> tuple[float, float]:
+    """(``tail`` + sum_{j=1..p} C(x0, j) Delta^{j-1} log g(n), |C(x0-1, p)| (|Delta^p log g(n)| + allowance))
+    from ``coeffs`` = ``_coefficients(x0, order)``, order >= p, and d = [Delta^j log g(n), j = 0..p, ...],
+    the terms added in order of j. The series' Gregory tail takes the same sum, with
+    Gregory's coefficients and its start value."""
     cs, cps = coeffs
-    tail = 0.0
     for c, dj in zip(cs[:p], d):
         tail += c * dj
     return tail, abs(cps[p - 1]) * (abs(d[p]) + allowance)
 
 
 def _level(win: list[float]) -> tuple:
-    """The x-independent terms of level n from ``win`` = g(n .. n+2p), g(n) > 0:
-    (log g(n), [Delta^j log g(n) for j = 0..p], the signs Delta^p log g keeps over
-    n .. n+p, allowance, g(n)), with the signs and allowance of ``_differences``.
-    A window holding a non-positive value has no differences: (log g(n), None, 0, 0.0, g(n)).
+    """The record of level n from ``win`` = g(n .. n+2 top): (g(n), log g(n), orders), where
+    ``orders`` holds (p, d, the signs Delta^p log g keeps over n .. n+p, allowance) for each
+    p = ORDER .. top, from ``_differences`` of log g(n .. n+2p), one call per order.
+    d = [Delta^j log g(n) for j = 0..top] is one list, from the top order's call, for every
+    p: Delta^j log g(n) depends on log g(n .. n+j) alone, so order p's differences are its
+    first p + 1, bit for bit. Order ORDER needs g(n .. n+2 ORDER) > 0, and the orders past
+    it the whole window; where order ORDER's values are not all positive the record has no
+    orders, and the sandwich decides.
     """
-    if min(win) > 0.0:
-        d, signs, allowance = _differences(list(map(math.log, win)), ORDER)
-        return d[0], d, signs, allowance, win[0]
-    return math.log(win[0]), None, 0, 0.0, win[0]
-
-
-def _high_terms(win: list[float]) -> tuple:
-    """The x-independent terms of orders ORDER+1 .. TOP_ORDER at level k from ``win`` =
-    g(k .. k+2 TOP_ORDER): (p, d, the signs Delta^p log g keeps over k .. k+p, allowance)
-    for each p, from ``_differences`` of log g(k .. k+2p). d = [Delta^j log g(k) for
-    j = 0..TOP_ORDER], one list for every p: Delta^j log g(k) depends on log g(k .. k+j)
-    alone, so order p's differences are its first p + 1, bit for bit. A window holding a
-    value <= 0 has no terms: the result is empty."""
-    if not min(win) > 0.0:
-        return ()
+    if not min(win) > 0.0:  # order ORDER alone, from its own window, or no order
+        return _level(win[:2 * ORDER + 1]) if len(win) > 2 * ORDER + 1 else (win[0], math.log(win[0]), ())
+    top = len(win) // 2
     logs = list(map(math.log, win))
-    d = _differences(logs, TOP_ORDER)[0]
-    return tuple((p, d, *_differences(logs[:2 * p + 1], p)[1:]) for p in range(ORDER + 1, TOP_ORDER + 1))
+    d, signs, allowance = _differences(logs, top)
+    orders = (top, d, signs, allowance),
+    if top > ORDER:  # the orders below the top: an order-ORDER window pays for none
+        orders = tuple((p, d, *_differences(logs[:2 * p + 1], p)[1:]) for p in range(ORDER, top)) + orders
+    return win[0], d[0], orders
 
 
 def _quiet(fn, *args):
@@ -250,22 +245,20 @@ def _quiet(fn, *args):
 
 class _Numerator:
     """The product's x-independent terms, one home per representer: g(k) and log g(k)
-    for k < K = g.size, where log g(0) := 0, and per doubling level k its ``_level``
-    terms of order ORDER and its ``_high_terms`` of the orders past it, each formed
-    from that level's own window when a loop first asks for it.
+    for k < K = g.size, where log g(0) := 0, and per doubling level n its ``_level``
+    record, formed from that level's own window when a loop first asks for it.
 
-    K grows as the levels need it (``call``), to at most CHUNK + 2 TOP_ORDER + 1: a
-    block's levels take g(k) up to its end + 2 ORDER, the orders past ORDER up to
-    k + 2 TOP_ORDER for k <= CHUNK. The same g(k) give the integer anchors'
+    K grows as the blocks need it (``call``), to at most CHUNK + 2 TOP_ORDER + 1: a
+    block's one call of g takes g(k) up to its end + 2 TOP_ORDER, the window of the
+    orders past ORDER at its last level. The same g(k) give the integer anchors'
     f(n) = prod_{k<n} g(k) for n <= K.
     """
 
-    __slots__ = ("g", "logs", "levels", "highs")
+    __slots__ = ("g", "logs", "levels")
 
     def __init__(self):
         self.g = self.logs = np.empty(0)
         self.levels: dict[int, tuple] = {}
-        self.highs: dict[int, tuple] = {}
 
     def call(self, g: Representer, size: int, args: np.ndarray | tuple = ()) -> np.ndarray | None:
         """g at ``args`` from one call of g that also evaluates the g(k), k < ``size``, that
@@ -291,32 +284,27 @@ class _Numerator:
             logs = np.log(new)
             if have == 0:
                 logs[0] = 0.0
-            self.g, self.logs = np.concatenate((self.g, new)), np.concatenate((self.logs, logs))
+            # the first call's values start the arrays: a copy, not a join with the empty ones
+            self.g = np.concatenate((self.g, new)) if have else new.copy()
+            self.logs = np.concatenate((self.logs, logs)) if have else logs
         return vals
 
-    def level(self, n: int) -> tuple:
+    def level(self, g: Representer, n: int, top: int = ORDER) -> tuple:
+        """The ``_level`` record of level n with the orders up to ``top``, from the numerator's
+        g(n .. n+2 top) where it holds them. Otherwise (past CHUNK, or in a faulted block's
+        replay) the window is one quiet call of g of its own; a fault there gives a record
+        without orders, which is not kept, and raises and warns nothing. The record of a
+        doubling level is kept with its top, and serves any later ask up to that top."""
         got = self.levels.get(n)
-        if got is None:
-            got = _level(self.g[n:n + 2 * ORDER + 1].tolist())
-            if n & (n - 1) == 0:  # the doublings from 4, which every max_n shares
-                self.levels[n] = got
-        return got
-
-    def high(self, g: Representer, k: int) -> tuple:
-        """``_high_terms`` of level k. Its window is a slice of the numerator, extended to
-        k + 2 TOP_ORDER by ``call`` for k <= CHUNK; past CHUNK, or where that extension
-        meets a fault, it is one quiet call of g of its own, and a fault there leaves
-        no terms: nothing is raised or warned."""
-        got = self.highs.get(k)
-        if got is None:
-            span = 2 * TOP_ORDER + 1
-            if self.g.size >= k + span or k <= CHUNK and self.call(g, k + span) is not None:
-                win = self.g[k:k + span]
-            else:
-                win = _quiet(g.values, np.arange(k, k + span, dtype=float))
-            got = () if win is None else _high_terms(win.tolist())
-            if k & (k - 1) == 0:  # the doublings from 4, which every max_n shares
-                self.highs[k] = got
+        if got is not None and got[0] >= top:
+            return got[1]
+        end = n + 2 * top + 1
+        win = self.g[n:end] if self.g.size >= end else _quiet(g.values, np.arange(n, end, dtype=float))
+        if win is None:
+            return math.nan, math.nan, ()
+        got = _level(win.tolist())
+        if n & (n - 1) == 0:  # the doublings from 4, which every max_n shares
+            self.levels[n] = top, got
         return got
 
 
@@ -326,7 +314,8 @@ def _block(g: Representer, num: _Numerator, x0: float, n: int, have: int, max_n:
 
     block = (have, log g(k) - log g(x0+k) for k = have .. end, g(x0+k) for
     k = have .. end), from one call of g (``_Numerator.call``): at x0+k, and at the
-    g(k), k <= end + 2 ORDER, that ``num`` lacks. The block is None, and the
+    g(k), k <= end + 2 TOP_ORDER, that ``num`` lacks, so every level's window,
+    the orders past ORDER at ``end`` included, is a slice of the numerator. The block is None, and the
     levels make their own calls, past the last block end and where the call
     meets any fault: an exception, a floating-point signal, or a value below
     POLE_TOL. The call evaluates g past the level where the loop may stop, so
@@ -338,7 +327,7 @@ def _block(g: Representer, num: _Numerator, x0: float, n: int, have: int, max_n:
     end = n
     while end < max_n and min(2 * end, max_n) <= bound:
         end = min(2 * end, max_n)
-    gx = num.call(g, end + 2 * ORDER + 1, x0 + np.arange(have, end + 1, dtype=float))
+    gx = num.call(g, end + 2 * TOP_ORDER + 1, x0 + np.arange(have, end + 1, dtype=float))
     if gx is None:
         return end, None
     return end, (have, num.logs[have:end + 1] - np.log(gx), gx)
@@ -371,7 +360,7 @@ def _base_state(g: Representer, x0: float, m: int, tol: float,
     allowance is above ``tol`` is set against the orders up to TOP_ORDER, each
     trusted by the same rule at its own p: Delta^p log g keeps one sign over
     n .. n+p, one it kept over the level before's window too (either sign at the
-    first level), read from the two levels' ``_Numerator.high`` records. The level
+    first level), read from the two levels' ``_Numerator.level`` records. The level
     takes the trusted order with the smallest bound, with its tail. Either bound
     adds a rounding allowance of (n + |m| + 1) eps for the n terms and the
     |m|-step scaling. DivergenceError is raised when the ratio gap
@@ -380,23 +369,19 @@ def _base_state(g: Representer, x0: float, m: int, tol: float,
 
     Each level needs the log terms for k < n and g at n .. n+2p and x0+n. Up to
     CHUNK, they come a block of levels at a time (``_block``): g(k) and each
-    level's ``_level`` terms from g's one ``_Numerator``, extended by the first
-    call that needs them, and g(x0+k) from one call of g. A level sums its slice of the block's
-    logs and takes its terms only when the loop reaches it, and every sum and
+    level's ``_level`` record from g's one ``_Numerator``, which the block's call
+    extends where it is short, and g(x0+k) from the same call. A level sums its slice of the block's
+    logs and takes its record only when the loop reaches it, and every sum and
     value has the bits of a level's own calls. Where the block's call meets a
     fault, and past CHUNK, each level makes its own calls: ``_log_terms`` over
-    [n/2, n) in chunks of CHUNK, then g at the 2p+2 points. Either way the level
-    takes, from its ``_level`` terms and g(x0+n), only what its branch uses: the
+    [n/2, n) in chunks of CHUNK, then g at the 2 ORDER + 2 points. Either way the level
+    takes, from its record's order ORDER and g(x0+n), only what its branch uses: the
     order-p tail and bound (``_gauss_terms``) where the bound is trusted, else
     log g(n) - log g(x0+n) and x0 log g(n) for the sandwich; and |g(x0+n)/g(n) - 1|.
-    The orders past ORDER take each level's window g(n .. n+2 TOP_ORDER) from the
-    numerator too, which one more call extends where it is short (``_Numerator.high``),
-    and keep its terms per doubling level, as the order-ORDER terms are kept.
+    The orders past ORDER come from the records of the level and the level before
+    with every order their windows g(k .. k+2 TOP_ORDER) cover: slices of the
+    numerator, or, past CHUNK and in a faulted block's replay, one quiet call each.
     """
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
-    if max_n < 4:
-        raise ValueError("max_n must be >= 4")
     coeffs = _coefficients(x0, TOP_ORDER)  # order p takes the first p of each
     num = g.product_terms.get("numerator")
     if num is None:
@@ -416,7 +401,7 @@ def _base_state(g: Representer, x0: float, m: int, tol: float,
         if block is not None:
             start, log_terms, gx = block  # indexed by k - start
             log_pn += float(np.add.reduce(log_terms[have - start:n - start]))
-            log_gn, d, signs, allowance, g_n = num.level(n)
+            g_n, log_gn, orders = num.level(g, n)
             gxn = float(gx[n - start])
         else:
             log_pn = _log_terms(g, x0, have, n, log_pn)
@@ -424,17 +409,19 @@ def _base_state(g: Representer, x0: float, m: int, tol: float,
             *win, gxn = g.values(np.array([*range(n, n + 2 * ORDER + 1), x0 + n], dtype=float)).tolist()
             if not (win[0] > 0.0 and gxn >= POLE_TOL):
                 _log_terms(g, x0, n, n + 1)  # raises the k = n term's PoleError or NonPositiveError
-            log_gn, d, signs, allowance, g_n = _level(win)
+            g_n, log_gn, orders = _level(win)
         rounding = (n + abs(m) + 1) * EPS
-        d1 = math.nan if d is None else d[1]  # a window without differences: the sandwich decides
+        # no order: no sign and Delta log g(n) nan, so the sandwich decides
+        _, d, signs, allowance = orders[0] if orders else (ORDER, (math.nan, math.nan), 0, 0.0)
+        d1 = d[1]
         if signs & prev_signs and (d1 == 0.0 or abs(d1) <= SHRINK * abs(prev_d1)):
             tail, bound = _gauss_terms(coeffs, d, allowance, ORDER)
             # past a block's last level the loop needs new g(x0+k): try the higher orders first
             if bound + rounding > tol and (n == max_n or n in BLOCK_ENDS or n > CHUNK):
                 # order p needs a sign of Delta^p log g that the level before kept (the first
-                # level is its own: either sign); level n's record first, as the numerator
-                # extension it makes covers the level before's window too
-                for (p, d_p, signs_p, allowance_p), (_, _, kept, _) in zip(num.high(g, n), num.high(g, have or n)):
+                # level is its own: either sign)
+                highs = zip(num.level(g, n, TOP_ORDER)[2][1:], num.level(g, have or n, TOP_ORDER)[2][1:])
+                for (p, d_p, signs_p, allowance_p), (_, _, kept, _) in highs:
                     if signs_p & kept:
                         tail_p, bound_p = _gauss_terms(coeffs, d_p, allowance_p, p)
                         if bound_p < bound:
@@ -536,6 +523,17 @@ def sandwich_bounds(g: Representer, x: float, n: int) -> tuple[float, float]:
     return math.exp(log_pn + (math.log(g_n) - math.log(g_xn)) + log_gx), math.exp(log_pn + log_gx)
 
 
+def _state(g: Representer, x: float, x0: float, m: int, tol: float, max_n: int) -> ProductState:
+    """The state at x = x0 + m (``reduce_to_base``): the exact anchor at an integer x, else
+    the product at x0 scaled to x. ``tol`` and ``max_n`` are checked first, at every x:
+    ValueError unless tol > 0 and max_n >= 4, and TypeError for a max_n that is not an integer."""
+    if not (tol > 0.0):
+        raise ValueError("tol must be positive")
+    if operator.index(max_n) < 4:
+        raise ValueError("max_n must be >= 4")
+    return _scaled(g, x, x0, m, *((ANCHOR, None) if x0 == 1.0 else _base_state(g, x0, m, tol, max_n)))
+
+
 def evaluate(g: Representer, x: float, tol: float = DEFAULT_TOL,
              max_n: int = DEFAULT_MAX_N) -> ProductState:
     """Evaluate the product representation at x > 0.
@@ -543,12 +541,13 @@ def evaluate(g: Representer, x: float, tol: float = DEFAULT_TOL,
     The argument is reduced to the base interval (0, 1], where n doubles
     until the error bound meets ``tol`` or ``max_n`` is reached
     (converged=False); see ``_base_state``. The functional equation then
-    scales the state forward.
+    scales the state forward. An integer x is the exact anchor of
+    ``extended_state``: no product runs. ``tol`` and ``max_n`` are checked
+    at every x.
     """
     if not (x > 0.0):
         raise DomainError(f"evaluate needs x > 0, got {x!r}")
-    x0, m = reduce_to_base(x)
-    return _scaled(g, x, x0, m, *_base_state(g, x0, m, tol, max_n))
+    return _state(g, x, *reduce_to_base(x), tol, max_n)
 
 
 def extended_state(g: Representer, x: float, tol: float = DEFAULT_TOL,
@@ -559,14 +558,13 @@ def extended_state(g: Representer, x: float, tol: float = DEFAULT_TOL,
     evaluation, except at x0 = 1, where the normalization f(1) = 1 is exact
     and no product runs. The functional equation carries it to x, forward for
     m >= 0 (for non-integer x > 0 this is ``evaluate``) and solved backwards
-    for m < 0, which extends f to negative reals.
+    for m < 0, which extends f to negative reals. ``tol`` and ``max_n`` are
+    checked at every x, an anchor's included.
     """
     x0, m = reduce_to_base(x)
     if x0 != 1.0 and m >= 0:
         return evaluate(g, x, tol, max_n)
-    if x0 == 1.0:
-        return _scaled(g, x, x0, m, ANCHOR)
-    return _scaled(g, x, x0, m, *_base_state(g, x0, m, tol, max_n))
+    return _state(g, x, x0, m, tol, max_n)
 
 
 def extend(g: Representer, x: float, tol: float = DEFAULT_TOL,
@@ -627,10 +625,7 @@ def _gregory_tail(h: np.ndarray, dlog: np.ndarray, h_ref: float,
     d, signs, allowance = _differences(h.tolist(), ORDER)
     if not signs:
         return None
-    tail = dlog0
-    for j in range(ORDER):
-        tail += GREGORY[j] * d[j]
-    return tail, abs(GREGORY[ORDER]) * (abs(d[ORDER]) + allowance)
+    return _gauss_terms((GREGORY, GREGORY[1:]), d, allowance, ORDER, dlog0)
 
 
 def logconvexity_series(g: Representer, x: float, tol: float = 1e-8) -> float:

@@ -203,13 +203,13 @@ def cmd_checks(ns: argparse.Namespace) -> int:
     from .acceptance import run_checks
 
     results = run_checks(only=ns.only, tol=ns.tol, seed=ns.seed)
+    if not results:
+        return _fail(f"no check matches --only {ns.only!r}")
     code = _emit(json.dumps([r.to_dict() for r in results], indent=2) + "\n", ns.out_path,
                  EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILURE)
     if ns.timings:
         for r in results:
             print(json.dumps({"check": r.name, "seconds": r.seconds}), file=sys.stderr)
-    if not results:
-        return _fail(f"no check matches --only {ns.only!r}")
     return code
 
 

@@ -29,9 +29,11 @@ class Representer:
     the product's terms that do not depend on x, filled by ``bohrmollerup``
     as its loop first needs them; ``fn`` being deterministic makes them valid
     for every later x. It holds one numerator, under the key "numerator": g(k)
-    for k < K, which every block and level of the product reads, and so do the
-    integer anchors' f(n) = prod_{k<n} g(k) for n <= K. It takes no part in
-    ``==``, ``repr`` or ``replace``.
+    for k < K, which only a block's call of g extends and every block and level
+    of the product reads, and so do the integer anchors' f(n) = prod_{k<n} g(k)
+    for n <= K; and per doubling level n one record of that level's terms, g(n),
+    log g(n) and each order's differences, signs and allowance, for the orders
+    its window covers. It takes no part in ``==``, ``repr`` or ``replace``.
     """
 
     fn: RealFunction

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -37,7 +38,7 @@ from logconvex import (
 from logconvex import bohrmollerup as bm
 from logconvex.bohrmollerup import reduce_to_base
 from logconvex.funcore import log_d2
-from test_product_blocks import _gauss_tail, count_calls, outcome, reference_outcome
+from test_product_blocks import _gauss_tail, bits, count_calls, outcome, reference_outcome
 
 SQRT_PI = math.sqrt(math.pi)
 IDENTITY = builtin("identity")
@@ -271,8 +272,44 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(IDENTITY, 0.5, max_n=2)
 
+    @pytest.mark.parametrize("x", [3.0, 3.5, 1.0, 0.5, 30.0, -2.5, 0.0, -3.0])
+    @pytest.mark.parametrize("limits,error", [
+        ({"tol": math.nan}, (ValueError, "tol must be positive")),
+        ({"tol": 0.0}, (ValueError, "tol must be positive")),
+        ({"tol": -1e-8}, (ValueError, "tol must be positive")),
+        ({"max_n": 0}, (ValueError, "max_n must be >= 4")),
+        ({"max_n": 3}, (ValueError, "max_n must be >= 4")),
+        ({"max_n": 4.5}, (TypeError, "'float' object cannot be interpreted as an integer")),
+        ({"max_n": 64.0}, (TypeError, "'float' object cannot be interpreted as an integer")),
+    ])
+    def test_tol_and_max_n_are_checked_at_every_x(self, x, limits, error):
+        """An integer x, whose value the anchor gives without a product, checks them too,
+        before its pole or its anchor; so does ``evaluate``, after its domain check."""
+        calls = [extended_state, extend] + ([evaluate] if x > 0.0 else [])
+        for fn in calls:
+            with pytest.raises(error[0]) as raised:
+                fn(builtin("identity"), x, **limits)
+            assert str(raised.value) == error[1], (fn, x, limits)
+
+    @pytest.mark.parametrize("x", [3.0, 0.5, -2.5])
+    def test_an_integer_max_n_of_any_type_is_taken(self, x):
+        assert extended_state(IDENTITY, x, max_n=np.int64(64)) == extended_state(IDENTITY, x, max_n=64)
+
 
 class TestExtend:
+    @pytest.mark.parametrize("spec", ["identity", "x+0.37", "x+2.5", "x*(x+1)", "power:c=0.7", "power:c=1.5",
+                                      "fibonacci", "const:3"])
+    def test_evaluate_at_an_integer_is_the_exact_anchor(self, spec):
+        """``evaluate(g, k)`` has the bits of ``extended_state(g, k)``, on fresh and on warm
+        representers: n = 0 and lower = value = upper, with no product run."""
+        warm = from_spec(spec)
+        extended_state(warm, 0.5)
+        for k in range(1, 31):
+            for g in (from_spec(spec), warm):
+                state = extended_state(g, float(k))
+                assert bits(astuple(evaluate(g, float(k)))) == bits(astuple(state)), (spec, k)
+                assert state.n == 0 and state.lower == state.value == state.upper
+
     def test_factorials_exact(self):
         assert extend(IDENTITY, 5.0) == 24.0
         for n in range(2, 11):

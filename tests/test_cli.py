@@ -127,6 +127,14 @@ class TestEval:
         assert code == 2
         assert "max_n" in err
 
+    @pytest.mark.parametrize("x", ["3", "3.5", "1", "-2.5", "-3"])
+    @pytest.mark.parametrize("limit,error", [(("--max-n", "0"), "max_n must be >= 4"),
+                                             (("--tol", "nan"), "tol must be positive")])
+    def test_limits_are_checked_at_every_x(self, capsys, x, limit, error):
+        """An integer --x, whose value needs no product, is no exception."""
+        got = run_cli(capsys, "eval", "--representer", "identity", "--x", x, *limit)
+        assert got == (2, "", f"error: {error}\n")
+
     def test_negative_x_in_exponent_notation_is_a_value(self, capsys):
         """argparse reads -1.55e1 after --x as the value, as it reads --x=-1.55e1."""
         want = run_cli(capsys, "eval", "--representer", "identity", "--x=-1.55e1")
@@ -204,6 +212,12 @@ class TestEval:
 
 
 class TestReport:
+    @pytest.mark.parametrize("range_", [("1", "3", "3"), ("0.5", "2.5", "3")])
+    def test_max_n_below_the_minimum_exits_2_and_prints_no_row(self, capsys, range_):
+        """Samples at integer x, the anchors, check --max-n as the others do."""
+        got = run_cli(capsys, "report", "--representer", "identity", "--range", *range_, "--max-n", "0")
+        assert got == (2, "", "error: max_n must be >= 4\n")
+
     def test_identity_range_all_log_convex(self, capsys):
         code, out, _ = run_cli(capsys, "report", "--representer", "identity",
                                "--range", "0.5", "4.5", "100", "--tol", "1e-5")
@@ -357,9 +371,13 @@ class TestChecks:
         assert [r["name"] for r in rows] == ["fibonacci"]
         assert rows[0]["passed"] is True
 
-    def test_unknown_filter_is_config_error(self, capsys):
-        code, _, err = run_cli(capsys, "checks", "--only", "nosuchcheck")
-        assert code == 2
+    def test_unknown_filter_is_config_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "checks", "--only", "nosuchcheck")
+        assert code == 2 and out == ""
+        assert err == "error: no check matches --only 'nosuchcheck'\n"
+        target = tmp_path / "checks.json"
+        assert run_cli(capsys, "checks", "--only", "nosuchcheck", "--out", str(target)) == (code, out, err)
+        assert not target.exists()
 
     def test_timings_go_to_stderr_and_leave_stdout_alone(self):
         argv = [sys.executable, "-m", "logconvex.cli", "checks", "--only", "a"]
